@@ -4,8 +4,7 @@ The 2:4 proximal operator
     argmin_w 0.5*||w - z||^2 + lam * (|w1 w2 w3| + |w2 w3 w4| + |w3 w4 w1| + |w4 w1 w2|)
 is nonconvex, but after reducing to a sorted nonnegative input it splits into
 three candidate cases (2-sparse, 3-sparse, dense), each of which is solvable
-by convex optimization. ``prox_enumerate`` solves all three and keeps the
-best; ``prox_full`` wraps it for arbitrary signed inputs.
+by convex optimization.
 
 The 3-sparse and dense cases are solved by projected gradient descent with
 step 1/4, started at the origin, with an abort rule that discards a case as
@@ -13,6 +12,15 @@ soon as the gradient norm strictly increases (that cannot happen inside the
 region where the case objective is convex, so an increase certifies the case
 is not the minimizer). An interior-point backend with a log-det barrier on
 the objective's Hessian cross-validates the gradient solver.
+
+The case logic lives in two batched functions over n sorted cells:
+``_solve_case_rows`` (projected GD, Newton polish of stalled rows, the
+second-order check and the positivity test for one case) and ``_pick_case``
+(per row, the best of [z1, z2, 0, 0] and the valid 3-sparse and dense
+candidates, ties going to the sparser case). ``solve_case_gd`` is the case
+solve on one cell; ``prox_enumerate`` (one sorted cell, either backend) and
+``prox_cells`` (a batch of signed cells, either backend) share the case pick;
+``prox_full`` wraps ``prox_enumerate`` for one signed cell.
 """
 
 from dataclasses import dataclass
@@ -26,6 +34,8 @@ _POS_RTOL = 1e-12  # coordinates below this (times the cell scale) count as zero
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 2000
+_IPM_TOL = 1e-8  # barrier path tolerance of the interior-point backend
+BACKENDS = ("gd", "ipm")
 
 
 class CellConvergenceError(RuntimeError):
@@ -143,12 +153,13 @@ def hessian_g(w: np.ndarray, lam: float) -> np.ndarray:
     return H
 
 
-def _case_hessian(w4, lam, pinned):
-    # Hessian of the active case at a 4-vector iterate (last coord pinned to
-    # zero for the 3-sparse case).
+def _case_hessian(w, lam, pinned):
+    # Hessian of the active case; the 3-sparse case reads only the first 3
+    # coordinates, so w may be a 4-vector with its last coordinate pinned
+    # to zero or the 3 free coordinates alone.
     if pinned:
-        return hessian_g(w4[:3], lam)
-    return hessian_f(w4, lam)
+        return hessian_g(w[:3], lam)
+    return hessian_f(w, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -248,14 +259,33 @@ def _newton_polish(w, z, lam, pinned, tol_eff, max_iter=40):
     return w, res <= tol_eff
 
 
-def _pos_threshold(z1):
-    return _POS_RTOL * max(1.0, float(z1))
-
-
 def _second_order_ok(w, lam, pinned, tol=1e-9):
     """Newton-polished points must sit in the PSD region of the case Hessian;
     otherwise the polish found a saddle rather than a case minimum."""
     return bool(np.linalg.eigvalsh(_case_hessian(w, lam, pinned))[0] >= -tol)
+
+
+def _solve_case_rows(Z, lam, pinned, tol, max_iter, trajectory=None):
+    """Solve one prox case on every row of an (n, 4) array of sorted cells.
+
+    Projected GD, then a Newton polish and second-order check on stalled
+    rows; a row is valid when the case's free coordinates end up strictly
+    positive. Returns (W, valid, aborted, polish_failed, iters).
+    """
+    W, conv, aborted, stalled, iters = _gd_solve_batched(
+        Z, lam, pinned, tol, max_iter, trajectory=trajectory
+    )
+    polish_failed = np.zeros_like(stalled)
+    for idx in np.flatnonzero(stalled):
+        W[idx], ok = _newton_polish(W[idx], Z[idx], lam, pinned, tol * max(1.0, Z[idx, 0]))
+        polish_failed[idx] = not ok
+        conv[idx] = ok and _second_order_ok(W[idx], lam, pinned)
+    if pinned:
+        W[:, 3] = 0.0
+    thr = _POS_RTOL * np.maximum(1.0, Z[:, 0])
+    need_pos = W[:, :3] if pinned else W
+    valid = conv & np.all(need_pos > thr[:, None], axis=1)
+    return W, valid, aborted, polish_failed, iters
 
 
 def _check_sorted(z):
@@ -277,29 +307,14 @@ def solve_case_gd(z, lam, case, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
     z = _check_sorted(z)
     if case not in ("dense", "three_sparse"):
         raise ValueError(f"unknown case {case!r}")
-    pinned = case == "three_sparse"
-    W, conv, aborted, stalled, iters = _gd_solve_batched(
-        z[None, :], lam, pinned, tol, max_iter, trajectory=trajectory
+    W, valid, aborted, polish_failed, iters = _solve_case_rows(
+        z[None, :], lam, case == "three_sparse", tol, max_iter, trajectory=trajectory
     )
-    w, n_it = W[0], int(iters[0])
-    if aborted[0]:
-        return None, True, n_it
-    if stalled[0]:
-        w, ok = _newton_polish(w, z, lam, pinned, tol * max(1.0, z[0]))
-        if not ok:
-            raise CellConvergenceError(
-                f"{case} cell solver did not converge in {max_iter} iterations", w
-            )
-        if not _second_order_ok(w, lam, pinned):
-            return None, False, n_it
-    thr = _pos_threshold(z[0])
-    need_pos = w[:3] if pinned else w
-    if np.all(need_pos > thr):
-        out = w.copy()
-        if pinned:
-            out[3] = 0.0
-        return out, False, n_it
-    return None, False, n_it
+    if polish_failed[0]:
+        raise CellConvergenceError(
+            f"{case} cell solver did not converge in {max_iter} iterations", W[0]
+        )
+    return (W[0] if valid[0] else None), bool(aborted[0]), int(iters[0])
 
 
 # ---------------------------------------------------------------------------
@@ -323,21 +338,9 @@ _C3 = _slope_mats(3)
 
 
 def _case_f(w, z, lam, dim):
-    q = 0.5 * np.sum((w - z[:dim]) ** 2)
-    if dim == 3:
-        return q + lam * w[0] * w[1] * w[2]
-    w1, w2, w3, w4 = w
-    return q + lam * (w1 * w2 * w3 + w2 * w3 * w4 + w3 * w4 * w1 + w4 * w1 * w2)
-
-
-def _case_grad(w, z, lam, dim):
-    s = w.sum()
-    e2 = 0.5 * (s ** 2 - np.sum(w ** 2))
-    return w - z[:dim] + lam * (e2 - w * (s - w))
-
-
-def _case_A(w, lam, dim):
-    return hessian_g(w, lam) if dim == 3 else hessian_f(w, lam)
+    if dim == 3:  # the free coordinates of the 3-sparse case alone
+        return 0.5 * np.sum((w - z[:3]) ** 2) + lam * w[0] * w[1] * w[2]
+    return _objective_rows(w, z, lam)
 
 
 def _chol_ok(A):
@@ -349,7 +352,7 @@ def _chol_ok(A):
 
 
 def _barrier_value(w, lam, dim):
-    A = _case_A(w, lam, dim)
+    A = _case_hessian(w, lam, dim == 3)
     sign, logdet = np.linalg.slogdet(A)
     if sign <= 0 or np.any(w <= 0.0):
         return np.inf
@@ -357,7 +360,7 @@ def _barrier_value(w, lam, dim):
 
 
 def _barrier_grad_hess(w, lam, dim):
-    A = _case_A(w, lam, dim)
+    A = _case_hessian(w, lam, dim == 3)
     Ainv = np.linalg.inv(A)
     Cs = _C3 if dim == 3 else _C4
     M = [Ainv @ C for C in Cs]
@@ -370,7 +373,7 @@ def _barrier_grad_hess(w, lam, dim):
     return grad, hess
 
 
-def solve_case_ipm(z, lam, case, tol=1e-8):
+def solve_case_ipm(z, lam, case, tol=_IPM_TOL):
     """Solve one prox case by a path-following barrier method.
 
     Minimizes the case objective over {w >= 0, case Hessian PSD} with the
@@ -385,11 +388,11 @@ def solve_case_ipm(z, lam, case, tol=1e-8):
     dim = 3 if case == "three_sparse" else 4
 
     w = np.minimum(z[:dim], 0.1)
-    if np.any(w <= 0.0) or not _chol_ok(_case_A(w, lam, dim)):
+    if np.any(w <= 0.0) or not _chol_ok(_case_hessian(w, lam, dim == 3)):
         eps = 1e-3
         for _ in range(200):
             w = np.full(dim, eps)
-            if _chol_ok(_case_A(w, lam, dim)):
+            if _chol_ok(_case_hessian(w, lam, dim == 3)):
                 break
             eps *= 0.5
         else:
@@ -400,10 +403,10 @@ def solve_case_ipm(z, lam, case, tol=1e-8):
     total_newton = 0
     while nu / t >= tol:
         for _ in range(60):
-            g_f = _case_grad(w, z, lam, dim)
+            g_f = _grad_rows(w, z[:dim], lam)
             g_b, h_b = _barrier_grad_hess(w, lam, dim)
             grad = t * g_f + g_b
-            hess = t * _case_A(w, lam, dim) + h_b
+            hess = t * _case_hessian(w, lam, dim == 3) + h_b
             try:
                 d = np.linalg.solve(hess, -grad)
             except np.linalg.LinAlgError:
@@ -428,22 +431,16 @@ def solve_case_ipm(z, lam, case, tol=1e-8):
     # the case is the optimum only if the barrier minimizer is an interior
     # stationary point of the plain objective; active constraints leave the
     # plain gradient bounded away from zero
-    thr = _pos_threshold(z[0])
     scale = max(1.0, z[0])
-    near_stationary = np.abs(_case_grad(w, z, lam, dim)).max() <= 1e-3 * scale
+    thr = _POS_RTOL * scale
+    near_stationary = np.abs(_grad_rows(w, z[:dim], lam)).max() <= 1e-3 * scale
     if np.all(w > thr) and near_stationary:
         w4 = np.zeros(4)
         w4[:dim] = w
+        # the polish moves only the free coordinates: a 3-sparse w4[3] stays 0
         w4, ok = _newton_polish(w4, z, lam, dim == 3, tol_eff=1e-11 * scale)
-        if (
-            ok
-            and np.all(w4[:dim] > thr)
-            and _second_order_ok(w4, lam, dim == 3)
-        ):
-            out = w4.copy()
-            if dim == 3:
-                out[3] = 0.0
-            return out, False, total_newton
+        if ok and np.all(w4[:dim] > thr) and _second_order_ok(w4, lam, dim == 3):
+            return w4, False, total_newton
     return None, True, total_newton
 
 
@@ -467,83 +464,14 @@ class ProxResult:
     iterations: tuple
 
 
-def prox_enumerate(z, lam, backend="gd", tol=None, max_iter=DEFAULT_MAX_ITER) -> ProxResult:
-    """Solve the sorted nonnegative cell prox by enumerating the three cases.
-
-    Always evaluates the closed-form 2-sparse candidate [z1, z2, 0, 0] and the
-    3-sparse/dense candidates from the chosen backend, then returns the one
-    with the smallest objective (ties go to the sparser case).
-    """
-    z = _check_sorted(z)
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
-    if z[0] <= 0.0:
-        return ProxResult(np.zeros(4), "two_sparse", 0.0, (False, False), (0, 0))
-
-    if backend == "gd":
-        if tol is None:
-            tol = DEFAULT_TOL
-        w3, ab3, it3 = solve_case_gd(z, lam, "three_sparse", tol, max_iter)
-        w4, ab4, it4 = solve_case_gd(z, lam, "dense", tol, max_iter)
-    elif backend == "ipm":
-        if tol is None:
-            tol = 1e-8
-        w3, ab3, it3 = solve_case_ipm(z, lam, "three_sparse", tol)
-        w4, ab4, it4 = solve_case_ipm(z, lam, "dense", tol)
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
-
-    w2 = np.array([z[0], z[1], 0.0, 0.0])
-    candidates = [(w2, "two_sparse")]
-    if w3 is not None:
-        candidates.append((w3, "three_sparse"))
-    if w4 is not None:
-        candidates.append((w4, "dense"))
-
-    best_w, best_tag = candidates[0]
-    best_f = cell_objective(best_w, z, lam)
-    for w, tag in candidates[1:]:
-        f = cell_objective(w, z, lam)
-        if f < best_f:
-            best_w, best_tag, best_f = w, tag, f
-    return ProxResult(best_w, best_tag, best_f, (ab3, ab4), (it3, it4))
+_CASES = ("three_sparse", "dense")
+_CASE_TAGS = ("two_sparse",) + _CASES
 
 
-def prox_full(z, lam, backend="gd") -> np.ndarray:
-    """2:4 prox of an arbitrary signed 4-vector.
-
-    Reduces to the sorted nonnegative problem, solves it, and maps the
-    result back; equivariant under signed permutations of the input.
-    """
-    z = np.asarray(z, dtype=np.float64).reshape(4)
-    zs, sp = pos_sort(z)
-    res = prox_enumerate(zs, lam, backend=backend)
-    return inv_pos_sort(res.w, sp)
-
-
-def prox_cells(cells, lam, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER) -> np.ndarray:
-    """Batched 2:4 prox over the rows of an (n, 4) array (GD backend).
-
-    Equivalent to prox_full row by row but solves every cell's cases in
-    lockstep, which is what makes whole-matrix proximal iterations cheap.
-    """
-    cells = np.asarray(cells, dtype=np.float64)
-    Z, order, signs = pos_sort_cells(cells)
-
-    W3, conv3, ab3, stall3, _ = _gd_solve_batched(Z, lam, True, tol, max_iter)
-    W4, conv4, ab4, stall4, _ = _gd_solve_batched(Z, lam, False, tol, max_iter)
-    for idx in np.flatnonzero(stall3):
-        W3[idx], ok = _newton_polish(W3[idx], Z[idx], lam, True, tol * max(1.0, Z[idx, 0]))
-        conv3[idx] = ok and _second_order_ok(W3[idx], lam, True)
-    for idx in np.flatnonzero(stall4):
-        W4[idx], ok = _newton_polish(W4[idx], Z[idx], lam, False, tol * max(1.0, Z[idx, 0]))
-        conv4[idx] = ok and _second_order_ok(W4[idx], lam, False)
-    W3[:, 3] = 0.0
-
-    thr = _POS_RTOL * np.maximum(1.0, Z[:, 0])
-    valid3 = conv3 & np.all(W3[:, :3] > thr[:, None], axis=1)
-    valid4 = conv4 & np.all(W4 > thr[:, None], axis=1)
-
+def _pick_case(Z, lam, W3, valid3, W4, valid4):
+    """Per row of the sorted cells Z, the best of [z1, z2, 0, 0] and the
+    valid 3-sparse and dense candidates, ties going to the sparser case.
+    Returns (W, choice, objective) with choice indexing _CASE_TAGS."""
     W2 = Z.copy()
     W2[:, 2:] = 0.0
     F = np.stack(
@@ -558,6 +486,83 @@ def prox_cells(cells, lam, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER) -> np.nda
     out = W2
     out[choice == 1] = W3[choice == 1]
     out[choice == 2] = W4[choice == 2]
+    return out, choice, F.min(axis=1)
+
+
+def _candidate(w):
+    # a scalar case solution (None when ruled out) as a 1-row candidate
+    return (np.zeros((1, 4)) if w is None else w[None, :]), np.array([w is not None])
+
+
+def prox_enumerate(z, lam, backend="gd", tol=None, max_iter=DEFAULT_MAX_ITER) -> ProxResult:
+    """Solve the sorted nonnegative cell prox by enumerating the three cases.
+
+    Always evaluates the closed-form 2-sparse candidate [z1, z2, 0, 0] and the
+    3-sparse/dense candidates from the chosen backend, then returns the one
+    with the smallest objective (ties go to the sparser case). A failed
+    Newton polish in the gd backend raises CellConvergenceError.
+    """
+    z = _check_sorted(z)
+    if lam < 0:
+        raise ValueError("lam must be nonnegative")
+    if z[0] <= 0.0:
+        return ProxResult(np.zeros(4), "two_sparse", 0.0, (False, False), (0, 0))
+
+    if backend == "gd":
+        tol = DEFAULT_TOL if tol is None else tol
+        solved = [solve_case_gd(z, lam, case, tol, max_iter) for case in _CASES]
+    elif backend == "ipm":
+        tol = _IPM_TOL if tol is None else tol
+        solved = [solve_case_ipm(z, lam, case, tol) for case in _CASES]
+    else:
+        raise ValueError(f"unknown backend {backend!r}")
+
+    (w3, ab3, it3), (w4, ab4, it4) = solved
+    W, choice, F = _pick_case(z[None, :], lam, *_candidate(w3), *_candidate(w4))
+    return ProxResult(W[0], _CASE_TAGS[choice[0]], float(F[0]), (ab3, ab4), (it3, it4))
+
+
+def prox_full(z, lam, backend="gd") -> np.ndarray:
+    """2:4 prox of an arbitrary signed 4-vector.
+
+    Reduces to the sorted nonnegative problem, solves it, and maps the
+    result back; equivariant under signed permutations of the input.
+    """
+    z = np.asarray(z, dtype=np.float64).reshape(4)
+    zs, sp = pos_sort(z)
+    res = prox_enumerate(zs, lam, backend=backend)
+    return inv_pos_sort(res.w, sp)
+
+
+def _ipm_case_rows(Z, lam, case):
+    # solve_case_ipm on every nonzero sorted cell; returns (W, valid)
+    W = np.zeros_like(Z)
+    valid = np.zeros(Z.shape[0], dtype=bool)
+    for i in np.flatnonzero(Z[:, 0] > 0.0):
+        w, _, _ = solve_case_ipm(Z[i], lam, case)
+        if w is not None:
+            W[i], valid[i] = w, True
+    return W, valid
+
+
+def prox_cells(cells, lam, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, backend="gd") -> np.ndarray:
+    """Batched 2:4 prox over the rows of an (n, 4) array.
+
+    Equivalent to prox_full row by row, except that a gd row whose Newton
+    polish fails drops that case instead of raising. gd solves all cells in
+    lockstep (tol and max_iter apply to it only); ipm solves cell by cell.
+    """
+    cells = np.asarray(cells, dtype=np.float64)
+    Z, order, signs = pos_sort_cells(cells)
+    if backend == "gd":
+        W3, valid3, *_ = _solve_case_rows(Z, lam, True, tol, max_iter)
+        W4, valid4, *_ = _solve_case_rows(Z, lam, False, tol, max_iter)
+    elif backend == "ipm":
+        W3, valid3 = _ipm_case_rows(Z, lam, "three_sparse")
+        W4, valid4 = _ipm_case_rows(Z, lam, "dense")
+    else:
+        raise ValueError(f"unknown backend {backend!r}")
+    out, _, _ = _pick_case(Z, lam, W3, valid3, W4, valid4)
     return inv_pos_sort_cells(out, order, signs)
 
 
@@ -629,18 +634,7 @@ def prox_simple(z, lam, kind) -> np.ndarray:
     threshold), R2 sums their squares (shrinkage). The two leading
     coordinates are never touched.
     """
-    z = _check_sorted(z)
-    out = z.copy()
-    tail = z[2:]
-    if kind == "R0":
-        out[2:] = np.where(lam > 0.5 * tail ** 2, 0.0, tail)
-    elif kind == "R1":
-        out[2:] = np.maximum(tail - lam, 0.0)
-    elif kind == "R2":
-        out[2:] = tail / (1.0 + lam)
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
-    return out
+    return prox_simple_cells(_check_sorted(z)[None, :], lam, kind)[0]
 
 
 def prox_simple_cells(cells, lam, kind) -> np.ndarray:

@@ -131,8 +131,6 @@ def _add_schedule_flags(p):
     p.add_argument("--adaptive-lambda", type=float, default=None, metavar="LAMBDA0_TILDE",
                    help="use the weight-scale-adaptive schedule with this base value")
     p.add_argument("--max-iter", type=int, default=5000)
-    p.add_argument("--seed", type=int, default=0,
-                   help="reserved; the pruning methods are deterministic")
 
 
 def build_parser():

@@ -7,18 +7,12 @@ the mask, recovers the surviving weights with masked gradient steps, and
 undoes the rescaling.
 """
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cells import (
-    DEFAULT_MAX_ITER,
-    DEFAULT_TOL,
-    inv_pos_sort,
-    pos_sort,
-    prox_cells,
-    prox_enumerate,
-)
+from .cells import BACKENDS, DEFAULT_MAX_ITER, DEFAULT_TOL, prox_cells
 from .linalg import layer_loss, max_eigenvalue, precondition, unprecondition
 
 
@@ -54,7 +48,8 @@ class PruneReport:
 
 
 def schedule_lambda(s: LambdaSchedule, k: int, W_star: np.ndarray = None) -> float:
-    """Penalty strength at outer iteration k."""
+    """Penalty strength at outer iteration k, capped at the largest finite
+    float (an infinite penalty turns the cell proxes' inf * 0 into NaN)."""
     if k < 0:
         raise ValueError("k must be nonnegative")
     if s.adaptive:
@@ -66,7 +61,10 @@ def schedule_lambda(s: LambdaSchedule, k: int, W_star: np.ndarray = None) -> flo
         lam0 = s.lambda0_tilde / scale
     else:
         lam0 = s.lambda0
-    return lam0 * s.beta ** k
+    try:
+        return min(lam0 * s.beta ** k, sys.float_info.max)
+    except OverflowError:
+        return sys.float_info.max
 
 
 def _cells(W: np.ndarray) -> np.ndarray:
@@ -116,24 +114,17 @@ def masked_gd(W, W_star, H, mask, steps, eta=None):
     return W
 
 
-def _prox_cells_scalar(cells_mat, lam, backend):
-    # row-by-row fallback used for the interior-point backend
-    out = np.empty_like(cells_mat)
-    for i in range(cells_mat.shape[0]):
-        zs, sp = pos_sort(cells_mat[i])
-        res = prox_enumerate(zs, lam, backend=backend)
-        out[i] = inv_pos_sort(res.w, sp)
-    return out
-
-
 def proximal_prune_loop(W_star, H, sched, cfg, cell_prox):
     """Shared proximal-gradient pruning pipeline.
 
     cell_prox(cells, lam) maps an (n, 4) array of (signed) cells to its prox.
-    Returns (W, mask, report) in the original coordinates.
+    Returns (W, mask, report) in the original coordinates. Raises ValueError
+    when W* or H has a NaN or infinite entry.
     """
     W_star = np.asarray(W_star, dtype=np.float64)
     _cells(W_star)  # validate shape early
+    if not (np.all(np.isfinite(W_star)) and np.all(np.isfinite(H))):
+        raise ValueError("W* and H must be finite (found NaN or inf)")
     sched = sched or LambdaSchedule()
     cfg = cfg or PruneConfig()
 
@@ -185,12 +176,10 @@ def proximal_prune_loop(W_star, H, sched, cfg, cell_prox):
 def prune_prox(W_star, H, sched=None, cfg=None):
     """Prune W* to exact 2:4 sparsity with the triple-product cell prox."""
     cfg = cfg or PruneConfig()
-    if cfg.backend == "gd":
-        def cell_prox(cells, lam):
-            return prox_cells(cells, lam, cfg.cell_tol, cfg.cell_max_iter)
-    elif cfg.backend == "ipm":
-        def cell_prox(cells, lam):
-            return _prox_cells_scalar(cells, lam, "ipm")
-    else:
+    if cfg.backend not in BACKENDS:  # checked here too: a 2:4 input never reaches the prox
         raise ValueError(f"unknown backend {cfg.backend!r}")
+
+    def cell_prox(cells, lam):
+        return prox_cells(cells, lam, cfg.cell_tol, cfg.cell_max_iter, cfg.backend)
+
     return proximal_prune_loop(W_star, H, sched, cfg, cell_prox)

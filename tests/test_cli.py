@@ -143,3 +143,28 @@ def test_shape_mismatch_fails_cleanly(tmp_path, instance, capsys):
                  "--out", str(tmp_path / "o.bin"), "--mask-out", str(tmp_path / "m.bin")])
     assert code == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_prune_l2_steep_schedule_runs_out_budget(tmp_path, instance):
+    # beta**k overflows a float near k=3893, inside the default 5000 iterations
+    w, h = instance
+    out = tmp_path / "o.bin"
+    code = main(["prune", "--method", "l2", "--weights", str(w), "--hessian", str(h),
+                 "--out", str(out), "--mask-out", str(tmp_path / "m.bin"), "--beta", "1.2"])
+    assert code == 0
+    W = load_matrix(out)
+    assert np.all(np.isfinite(W)) and is_24_sparse(W, eps=0.0)
+
+
+def test_prune_rejects_nan_weights(tmp_path, instance, capsys):
+    w, h = instance
+    W = load_matrix(w)
+    W[0, 1] = np.nan
+    bad = tmp_path / "nan.bin"
+    save_matrix(bad, W)
+    code = main(["prune", "--method", "prox", "--weights", str(bad), "--hessian", str(h),
+                 "--out", str(tmp_path / "o.bin"), "--mask-out", str(tmp_path / "m.bin")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "finite" in err
+    assert len(err.strip().splitlines()) == 1

@@ -1,7 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
-from prune24.baselines import brute_force_mask_search, wanda_prune
+from prune24.baselines import brute_force_mask_search, simple_reg_prune, wanda_prune
 from prune24.harness import toy_problem
 from prune24.linalg import hessian_from_data, layer_loss
 from prune24.pruner import (
@@ -36,6 +38,13 @@ def test_schedule_adaptive_errors():
         schedule_lambda(s, 0)
     with pytest.raises(ValueError):
         schedule_lambda(LambdaSchedule(), -1)
+
+
+def test_schedule_caps_overflow_at_largest_float():
+    s = LambdaSchedule(beta=1.2)
+    lam = schedule_lambda(s, 5000)  # 1.2**5000 overflows a float
+    assert np.isfinite(lam) and lam == sys.float_info.max
+    assert schedule_lambda(LambdaSchedule(lambda0=1e300, beta=1.2), 200) == sys.float_info.max
 
 
 def test_is_24_sparse_and_mask():
@@ -193,5 +202,21 @@ def test_prune_prox_ipm_backend_small_instance():
 
 
 def test_prune_prox_rejects_bad_backend():
-    with pytest.raises(ValueError):
-        prune_prox(np.ones((1, 4)), np.eye(4), cfg=PruneConfig(backend="magic"))
+    for W_star in (np.ones((1, 4)), np.array([[1.0, 0.0, 0.0, 2.0]])):  # dense, already 2:4
+        with pytest.raises(ValueError):
+            prune_prox(W_star, np.eye(4), cfg=PruneConfig(backend="magic"))
+
+
+@pytest.mark.parametrize("where", ["W", "H"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_proximal_pipeline_rejects_non_finite_input(where, bad):
+    W_star, H = toy_problem()
+    W_star, H = W_star.copy(), H.copy()
+    if where == "W":
+        W_star[0, 2] = bad
+    else:
+        H[1, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        prune_prox(W_star, H)
+    with pytest.raises(ValueError, match="finite"):
+        simple_reg_prune(W_star, H, "R1")
