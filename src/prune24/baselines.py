@@ -5,7 +5,9 @@ of its input channel and keeps the top 2 per cell; it is exactly optimal when
 the input features are uncorrelated (diagonal hessian). sparsegpt_prune is an
 OBS-style reconstruction: it walks the matrix in 4-column blocks left to
 right, prunes the 2 lowest-error weights per cell, and compensates the still
-unfrozen weights through the inverse hessian of the remaining columns.
+unfrozen weights through the inverse hessian of the remaining columns; one
+Cholesky factorization of the damped hessian supplies every such inverse, so
+a call costs O(d^3) rather than a fresh inverse per block.
 simple_reg_prune runs the proximal pipeline with the closed-form
 hard-threshold / soft-threshold / shrinkage cell proxes. The brute-force mask
 search is the exact (exponential) reference for tiny instances.
@@ -16,7 +18,7 @@ from itertools import combinations, product
 import numpy as np
 
 from .cells import prox_simple_cells
-from .pruner import LambdaSchedule, PruneConfig, mask_of, proximal_prune_loop
+from .pruner import LambdaSchedule, PruneConfig, check_problem, mask_of, proximal_prune_loop
 
 
 def wanda_scores(W_star: np.ndarray, H: np.ndarray) -> np.ndarray:
@@ -38,10 +40,11 @@ def _prune_two_smallest(values: np.ndarray) -> np.ndarray:
 
 
 def wanda_prune(W_star: np.ndarray, H: np.ndarray):
-    """Keep the 2 highest-scoring weights per cell at their original values."""
-    W_star = np.asarray(W_star, dtype=np.float64)
-    if W_star.shape[1] % 4 != 0:
-        raise ValueError(f"columns must be divisible by 4, got {W_star.shape[1]}")
+    """Keep the 2 highest-scoring weights per cell at their original values.
+
+    Raises the ValueErrors of check_problem.
+    """
+    W_star, H = check_problem(W_star, H)
     mask = _prune_two_smallest(wanda_scores(W_star, H))
     return W_star * mask, mask
 
@@ -54,38 +57,48 @@ def sparsegpt_prune(W_star: np.ndarray, H: np.ndarray, damp: float = None):
     the inverse of the (damped) hessian restricted to the not-yet-frozen
     columns, and distributes the removed weights onto those columns.
 
-    Damping defaults to 1e-8 * mean(diag(H)): enough to invert a singular
-    hessian, small enough that it never perturbs the selection (a visible
-    damp inflates the scores of weak channels and can flip selections even
-    on diagonal hessians, where this pruner must match score pruning).
+    Every Hinv comes from one factorization. With J the index reversal,
+    cholesky(J Hd J) = L gives the upper triangular U = J inv(L) J with
+    inv(Hd[b:, b:]) = U[b:, b:]^T U[b:, b:] for every b, so a block needs
+    only the 4 rows U[b:b+4, b:]. Inverting Hd before factoring it would
+    fail on rank-deficient hessians that this order handles.
+
+    Damping defaults to 1e-8 * mean(diag(H)): enough to factor a singular
+    PSD hessian, small enough that it never perturbs the selection (a
+    visible damp inflates the scores of weak channels and can flip
+    selections even on diagonal hessians, where this pruner must match
+    score pruning). Raises ValueError when the damped hessian is not
+    positive definite, and on the input errors of check_problem.
     """
-    W = np.array(W_star, dtype=np.float64)
-    H = np.asarray(H, dtype=np.float64)
-    d = W.shape[1]
-    if d % 4 != 0:
-        raise ValueError(f"columns must be divisible by 4, got {d}")
+    W_star, H = check_problem(W_star, H)
+    W = W_star.copy()
+    rows, d = W.shape
     if damp is None:
         damp = 1e-8 * float(np.mean(np.diag(H)))
-    Hd = H + damp * np.eye(d)
+    Hd = H[::-1, ::-1].copy()
+    Hd.flat[:: d + 1] += damp
+    try:
+        L = np.linalg.cholesky(Hd)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError("singular or indefinite damped hessian") from exc
+    del Hd
+    U = np.linalg.inv(L)
+    del L
+    U *= np.tri(d, dtype=bool)  # pivoting in inv can leave roundoff above the diagonal
+    U = U[::-1, ::-1]
 
+    r = np.arange(rows)[:, None]
     for b in range(0, d, 4):
-        rest = np.arange(b, d)
-        try:
-            Hinv = np.linalg.inv(Hd[np.ix_(rest, rest)])
-        except np.linalg.LinAlgError as exc:
-            raise ValueError("singular damped hessian") from exc
-        inv_diag = np.diag(Hinv)[:4]
-        block = slice(b, b + 4)
-        scores = W[:, block] ** 2 / inv_diag[None, :]
-        prune_local = np.argsort(scores, axis=1, kind="stable")[:, :2]
-        for r in range(W.shape[0]):
-            q = np.sort(prune_local[r])  # local indices in the block
-            wq = W[r, b + q]
-            # exact compensation for jointly zeroing the pair
-            sub = Hinv[np.ix_(q, q)]
-            coef = np.linalg.solve(sub, wq)
-            W[r, rest] -= Hinv[:, q] @ coef
-            W[r, b + q] = 0.0  # exact zeros
+        S = U[b : b + 4, b:]
+        Hinv_q = S.T @ S[:, :4]  # first 4 columns of inv(Hd[b:, b:])
+        scores = W[:, b : b + 4] ** 2 / np.diag(Hinv_q)[None, :]
+        q = np.sort(np.argsort(scores, axis=1, kind="stable")[:, :2], axis=1)
+        # exact compensation for jointly zeroing each row's pair
+        coef = np.linalg.solve(Hinv_q[q[:, :, None], q[:, None, :]], W[r, b + q][..., None])
+        C = np.zeros((rows, 4))
+        C[r, q] = coef[..., 0]
+        W[:, b:] -= C @ Hinv_q.T
+        W[r, b + q] = 0.0  # exact zeros
     mask = mask_of(W, 0.0)
     return W, mask
 

@@ -114,17 +114,33 @@ def masked_gd(W, W_star, H, mask, steps, eta=None):
     return W
 
 
+def check_problem(W_star, H):
+    """Return (W*, H) as float64 arrays after checking them.
+
+    Raises ValueError unless W* is a matrix whose column count d is a
+    multiple of 4, H is (d, d), and neither holds a NaN or infinite entry.
+    """
+    W_star = np.asarray(W_star, dtype=np.float64)
+    H = np.asarray(H, dtype=np.float64)
+    if W_star.ndim != 2:
+        raise ValueError(f"W* must be a matrix, got shape {W_star.shape}")
+    _cells(W_star)
+    d = W_star.shape[1]
+    if H.shape != (d, d):
+        raise ValueError(f"hessian shape {H.shape} does not match {d} columns")
+    if not (np.all(np.isfinite(W_star)) and np.all(np.isfinite(H))):
+        raise ValueError("W* and H must be finite (found NaN or inf)")
+    return W_star, H
+
+
 def proximal_prune_loop(W_star, H, sched, cfg, cell_prox):
     """Shared proximal-gradient pruning pipeline.
 
     cell_prox(cells, lam) maps an (n, 4) array of (signed) cells to its prox.
-    Returns (W, mask, report) in the original coordinates. Raises ValueError
-    when W* or H has a NaN or infinite entry.
+    Returns (W, mask, report) in the original coordinates. Raises the
+    ValueErrors of check_problem.
     """
-    W_star = np.asarray(W_star, dtype=np.float64)
-    _cells(W_star)  # validate shape early
-    if not (np.all(np.isfinite(W_star)) and np.all(np.isfinite(H))):
-        raise ValueError("W* and H must be finite (found NaN or inf)")
+    W_star, H = check_problem(W_star, H)
     sched = sched or LambdaSchedule()
     cfg = cfg or PruneConfig()
 

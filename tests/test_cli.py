@@ -162,9 +162,12 @@ def test_prune_rejects_nan_weights(tmp_path, instance, capsys):
     W[0, 1] = np.nan
     bad = tmp_path / "nan.bin"
     save_matrix(bad, W)
-    code = main(["prune", "--method", "prox", "--weights", str(bad), "--hessian", str(h),
-                 "--out", str(tmp_path / "o.bin"), "--mask-out", str(tmp_path / "m.bin")])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "finite" in err
-    assert len(err.strip().splitlines()) == 1
+    for method in ("prox", "wanda", "sparsegpt-gd"):
+        out = tmp_path / f"{method}.bin"
+        code = main(["prune", "--method", method, "--weights", str(bad), "--hessian", str(h),
+                     "--out", str(out), "--mask-out", str(tmp_path / "m.bin")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "finite" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
