@@ -10,7 +10,6 @@ exact brute-force references are included for comparison.
 """
 
 from .baselines import (
-    brute_force_mask_search,
     simple_reg_prune,
     sparsegpt_prune,
     wanda_prune,
@@ -21,7 +20,6 @@ from .cells import (
     KktReport,
     ProxResult,
     SignedPerm,
-    brute_force_prox_oracle,
     cell_objective,
     hessian_f,
     hessian_g,
@@ -38,7 +36,6 @@ from .cells import (
     solve_case_ipm,
 )
 from .harness import (
-    BENCH_METHODS,
     BenchRow,
     SyntheticSpec,
     benchmark_csv,
@@ -79,11 +76,11 @@ from .pruner import (
 from .rng import SplitMix64
 
 __all__ = [
-    "BENCH_METHODS",
     "BenchRow",
     "CellConvergenceError",
     "KktReport",
     "LambdaSchedule",
+    "METHODS",
     "ProxResult",
     "PruneConfig",
     "PruneReport",
@@ -91,8 +88,6 @@ __all__ = [
     "SplitMix64",
     "SyntheticSpec",
     "benchmark_csv",
-    "brute_force_mask_search",
-    "brute_force_prox_oracle",
     "cell_objective",
     "clamp_top2",
     "gen_synthetic",
@@ -123,6 +118,7 @@ __all__ = [
     "reg_path_sweep",
     "regularizer_rNM",
     "run_benchmark",
+    "run_method",
     "save_matrix",
     "schedule_lambda",
     "simple_reg_prune",
@@ -136,3 +132,13 @@ __all__ = [
     "write_matrix",
     "write_matrix_csv",
 ]
+
+
+def __getattr__(name):
+    # cli is loaded on first use, so `python -m prune24.cli` does not find it
+    # already imported by the package
+    if name in ("METHODS", "run_method"):
+        from . import cli
+
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -12,7 +12,6 @@ import numpy as np
 
 from .baselines import simple_reg_prune, sparsegpt_prune, wanda_prune
 from .harness import (
-    BENCH_METHODS,
     SyntheticSpec,
     benchmark_csv,
     gen_synthetic,
@@ -25,29 +24,30 @@ from .linalg import layer_loss
 from .matio import load_matrix, save_matrix
 from .pruner import LambdaSchedule, PruneConfig, masked_gd, prune_prox
 
-_CLI_METHODS = ["prox", "wanda", "wanda-gd", "sparsegpt", "sparsegpt-gd", "l0", "l1", "l2"]
+METHODS = ("prox", "wanda", "wanda-gd", "sparsegpt", "sparsegpt-gd", "l0", "l1", "l2")
 
 
-def _canon(method: str) -> str:
-    return method.replace("-gd", "+gd")
+def run_method(method, W_star, H, sched, cfg):
+    """Prune W* with one of METHODS; returns (W, mask, iterations).
 
-
-def _run_method(method, W_star, H, sched, cfg):
-    method = _canon(method)
+    iterations counts outer proximal iterations for prox/l0/l1/l2, masked
+    gradient steps for the -gd variants, and is 0 for wanda and sparsegpt.
+    The pruners are looked up as module globals at call time, so wrappers put
+    on this module's names see every call. Raises ValueError on an unknown
+    method.
+    """
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
     if method == "prox":
-        W, mask, _ = prune_prox(W_star, H, sched, cfg)
-    elif method.startswith("wanda"):
-        W, mask = wanda_prune(W_star, H)
-        if method.endswith("+gd"):
-            W = masked_gd(W, W_star, H, mask, cfg.gd_steps)
-    elif method.startswith("sparsegpt"):
-        W, mask = sparsegpt_prune(W_star, H)
-        if method.endswith("+gd"):
-            W = masked_gd(W, W_star, H, mask, cfg.gd_steps)
-    else:
-        kind = {"l0": "R0", "l1": "R1", "l2": "R2"}[method]
-        W, mask, _ = simple_reg_prune(W_star, H, kind, sched, cfg)
-    return W, mask
+        W, mask, rep = prune_prox(W_star, H, sched, cfg)
+        return W, mask, rep.iterations
+    if method in ("l0", "l1", "l2"):
+        W, mask, rep = simple_reg_prune(W_star, H, "R" + method[1], sched, cfg)
+        return W, mask, rep.iterations
+    W, mask = (wanda_prune if method.startswith("wanda") else sparsegpt_prune)(W_star, H)
+    if not method.endswith("-gd"):
+        return W, mask, 0
+    return masked_gd(W, W_star, H, mask, cfg.gd_steps), mask, cfg.gd_steps
 
 
 def _sched_cfg(args):
@@ -63,7 +63,7 @@ def _cmd_prune(args):
     W_star = load_matrix(args.weights)
     H = load_matrix(args.hessian)
     sched, cfg = _sched_cfg(args)
-    W, mask = _run_method(args.method, W_star, H, sched, cfg)
+    W, mask, _ = run_method(args.method, W_star, H, sched, cfg)
     save_matrix(args.out, W)
     save_matrix(args.mask_out, mask)
 
@@ -92,10 +92,7 @@ def _cmd_synth(args):
 
 def _cmd_bench(args):
     alphas = [float(v) for v in args.alphas.split(",")]
-    if args.methods == "all":
-        methods = list(BENCH_METHODS)
-    else:
-        methods = [_canon(m) for m in args.methods.split(",")]
+    methods = list(METHODS) if args.methods == "all" else args.methods.split(",")
     rows = run_benchmark(
         alphas,
         args.d,
@@ -110,7 +107,7 @@ def _cmd_bench(args):
 def _cmd_toy(args):
     W_star, H = toy_problem()
     sched, cfg = _sched_cfg(args)
-    W, mask = _run_method(args.method, W_star, H, sched, cfg)
+    W, mask, _ = run_method(args.method, W_star, H, sched, cfg)
     print("method", args.method)
     print("weights", " ".join(f"{v:g}" for v in W[0]))
     print("mask", " ".join(str(int(v)) for v in mask[0]))
@@ -139,7 +136,7 @@ def build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("prune", help="prune a weight matrix against a hessian")
-    p.add_argument("--method", required=True, choices=_CLI_METHODS)
+    p.add_argument("--method", required=True, choices=METHODS)
     p.add_argument("--weights", required=True)
     p.add_argument("--hessian", required=True)
     p.add_argument("--out", required=True)
@@ -174,7 +171,7 @@ def build_parser():
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("toy", help="run a method on the built-in toy instance")
-    p.add_argument("--method", default="prox", choices=_CLI_METHODS)
+    p.add_argument("--method", default="prox", choices=METHODS)
     _add_schedule_flags(p)
     p.set_defaults(func=_cmd_toy)
 

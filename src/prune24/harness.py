@@ -11,22 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import simple_reg_prune, sparsegpt_prune, wanda_prune
 from .cells import inv_pos_sort, lambda_thresholds, pos_sort, prox_enumerate
 from .linalg import layer_loss
-from .pruner import LambdaSchedule, PruneConfig, masked_gd, prune_prox
+from .pruner import LambdaSchedule, PruneConfig
 from .rng import SplitMix64
-
-BENCH_METHODS = (
-    "prox",
-    "wanda",
-    "wanda+gd",
-    "sparsegpt",
-    "sparsegpt+gd",
-    "l0",
-    "l1",
-    "l2",
-)
 
 
 def toy_problem():
@@ -104,39 +92,19 @@ class BenchRow:
     iterations: int
 
 
-def _run_method(method, W_star, H, sched, cfg):
-    if method == "prox":
-        W, _, rep = prune_prox(W_star, H, sched, cfg)
-        return W, rep.iterations
-    if method in ("wanda", "wanda+gd"):
-        W, mask = wanda_prune(W_star, H)
-        if method.endswith("+gd"):
-            W = masked_gd(W, W_star, H, mask, cfg.gd_steps)
-            return W, cfg.gd_steps
-        return W, 0
-    if method in ("sparsegpt", "sparsegpt+gd"):
-        W, mask = sparsegpt_prune(W_star, H)
-        if method.endswith("+gd"):
-            W = masked_gd(W, W_star, H, mask, cfg.gd_steps)
-            return W, cfg.gd_steps
-        return W, 0
-    if method in ("l0", "l1", "l2"):
-        kind = {"l0": "R0", "l1": "R1", "l2": "R2"}[method]
-        W, _, rep = simple_reg_prune(W_star, H, kind, sched, cfg)
-        return W, rep.iterations
-    raise ValueError(f"unknown method {method!r}")
-
-
 def run_benchmark(alphas, d, seeds, methods, sched=None, cfg=None):
     """Prune synthetic instances with every requested method.
 
-    Each (alpha, seed) pair generates one instance shared by all methods.
-    Returns BenchRow records sorted by (alpha, seed, method).
+    Each (alpha, seed) pair generates one instance shared by all methods,
+    and each method runs through cli.run_method. Returns BenchRow records
+    sorted by (alpha, seed, method).
     """
+    from .cli import METHODS, run_method  # cli imports this module
+
     sched = sched or LambdaSchedule()
     cfg = cfg or PruneConfig()
     for m in methods:
-        if m not in BENCH_METHODS:
+        if m not in METHODS:
             raise ValueError(f"unknown method {m!r}")
     rows = []
     for alpha in alphas:
@@ -144,7 +112,7 @@ def run_benchmark(alphas, d, seeds, methods, sched=None, cfg=None):
             W_star, H = gen_synthetic(SyntheticSpec(d=d, alpha=alpha, seed=seed))
             for method in methods:
                 t0 = time.perf_counter()
-                W, iters = _run_method(method, W_star, H, sched, cfg)
+                W, _, iters = run_method(method, W_star, H, sched, cfg)
                 dt = time.perf_counter() - t0
                 rows.append(
                     BenchRow(

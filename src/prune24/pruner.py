@@ -43,7 +43,10 @@ class PruneConfig:
 class PruneReport:
     iterations: int
     final_lambda: float
-    loss_trace: list = field(default_factory=list)  # (iteration, layer_loss) pairs
+    # (index, layer_loss) after each outer iteration, after the max_iter clamp
+    # (same index as the last iteration), and after the masked gradient steps
+    # (index iterations + gd_steps)
+    loss_trace: list = field(default_factory=list)
     terminated_by: str = "sparsity_reached"
 
 
@@ -102,10 +105,17 @@ def masked_gd(W, W_star, H, mask, steps, eta=None):
     """Gradient descent on the reconstruction loss restricted to a mask.
 
     Masked-out entries stay exactly zero; with the default step
-    1/(2*gamma_max(H)) the loss is non-increasing.
+    1/(2*gamma_max(H)) the loss is non-increasing. Raises the ValueErrors of
+    check_problem, and ValueError when W or mask is not shaped like W* or
+    steps is negative.
     """
+    W_star, H = check_problem(W_star, H)
+    if np.shape(W) != W_star.shape or np.shape(mask) != W_star.shape:
+        raise ValueError(f"W {np.shape(W)} and mask {np.shape(mask)} must have "
+                         f"the shape of W* {W_star.shape}")
+    if steps < 0:
+        raise ValueError(f"steps must be nonnegative, got {steps}")
     W = np.asarray(W, dtype=np.float64) * mask
-    W_star = np.asarray(W_star, dtype=np.float64)
     if eta is None:
         eta = 1.0 / (2.0 * max(max_eigenvalue(H), np.finfo(float).tiny))
     WsH = W_star @ H
@@ -133,16 +143,30 @@ def check_problem(W_star, H):
     return W_star, H
 
 
+def _check_schedule(sched, cfg):
+    """Raise ValueError unless the penalty starts positive and grows, and the
+    step counts are nonnegative; otherwise the loop can never sparsify."""
+    lam0 = sched.lambda0_tilde if sched.adaptive else sched.lambda0
+    if not lam0 > 0:
+        raise ValueError(f"initial penalty must be positive, got {lam0}")
+    if not sched.beta > 1:
+        raise ValueError(f"beta must be greater than 1, got {sched.beta}")
+    if cfg.max_iter < 0 or cfg.gd_steps < 0:
+        raise ValueError(f"max_iter and gd_steps must be nonnegative, "
+                         f"got {cfg.max_iter} and {cfg.gd_steps}")
+
+
 def proximal_prune_loop(W_star, H, sched, cfg, cell_prox):
     """Shared proximal-gradient pruning pipeline.
 
     cell_prox(cells, lam) maps an (n, 4) array of (signed) cells to its prox.
     Returns (W, mask, report) in the original coordinates. Raises the
-    ValueErrors of check_problem.
+    ValueErrors of check_problem and of a schedule that cannot work.
     """
     W_star, H = check_problem(W_star, H)
     sched = sched or LambdaSchedule()
     cfg = cfg or PruneConfig()
+    _check_schedule(sched, cfg)
 
     W_t, H_t, scales = precondition(W_star, H)
     gamma = max(max_eigenvalue(H_t), np.finfo(float).tiny)
@@ -169,15 +193,8 @@ def proximal_prune_loop(W_star, H, sched, cfg, cell_prox):
         trace.append((k, layer_loss(W, W_t, H_t)))
 
     mask = mask_of(W, 0.0)
-    if not trace:
-        trace.append((0, layer_loss(W, W_t, H_t)))
-
-    idx = k
-    WsH_masked = WsH  # H is fixed; reuse the precomputed product
-    for _ in range(int(cfg.gd_steps)):
-        W = W - (2.0 * eta) * (mask * (W @ H_t - WsH_masked))
-        idx += 1
-        trace.append((idx, layer_loss(W, W_t, H_t)))
+    W = masked_gd(W, W_t, H_t, mask, cfg.gd_steps, eta)
+    trace.append((k + cfg.gd_steps, layer_loss(W, W_t, H_t)))
 
     W = unprecondition(W, scales)
     report = PruneReport(

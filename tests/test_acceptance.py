@@ -53,7 +53,7 @@ def bench_rows():
         [1.0, 0.5, 0.3],
         128,
         [0, 1, 2, 3, 4],
-        ["prox", "wanda", "wanda+gd", "sparsegpt", "sparsegpt+gd", "l0", "l1", "l2"],
+        ["prox", "wanda", "wanda-gd", "sparsegpt", "sparsegpt-gd", "l0", "l1", "l2"],
     )
 
 
@@ -191,7 +191,7 @@ def test_criterion_5_benchmark_direction(bench_rows):
     margins = []
     for alpha in (0.5, 0.3):
         p = mean("prox", alpha)
-        for other in ("wanda+gd", "sparsegpt+gd"):
+        for other in ("wanda-gd", "sparsegpt-gd"):
             o = mean(other, alpha)
             margins.append(f"a={alpha} prox/{other}={p / o:.4f}")
             if p > 1.01 * o:
@@ -215,7 +215,7 @@ def test_criterion_6_masked_gd_improvement(bench_rows):
         for seed in range(5):
             for base in ("wanda", "sparsegpt"):
                 before = lookup[(alpha, seed, base)]
-                after = lookup[(alpha, seed, base + "+gd")]
+                after = lookup[(alpha, seed, base + "-gd")]
                 if after > before + 1e-12:
                     monotone_ok = False
                 total += 1

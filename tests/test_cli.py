@@ -1,12 +1,17 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from prune24.cli import main
+import prune24
+from prune24.cli import METHODS, main
+from prune24.harness import run_benchmark
+from prune24.linalg import layer_loss
 from prune24.matio import load_matrix, save_matrix
-from prune24.pruner import is_24_sparse
+from prune24.pruner import PruneConfig, is_24_sparse
 
 
 @pytest.fixture
@@ -18,8 +23,7 @@ def instance(tmp_path):
     return w, h
 
 
-@pytest.mark.parametrize("method", ["prox", "wanda", "wanda-gd", "sparsegpt",
-                                    "sparsegpt-gd", "l0", "l1", "l2"])
+@pytest.mark.parametrize("method", METHODS)
 def test_prune_all_methods(tmp_path, instance, method):
     w, h = instance
     out = tmp_path / "out.bin"
@@ -33,6 +37,19 @@ def test_prune_all_methods(tmp_path, instance, method):
     assert is_24_sparse(W, eps=0.0)
     assert set(np.unique(M)) <= {0.0, 1.0}
     assert np.array_equal((np.abs(W) > 0).astype(float), M)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_bench_row_loss_equals_prune_output_loss(tmp_path, instance, method):
+    # the instance fixture is synth --d 8 --alpha 0.5 --seed 1
+    w, h = instance
+    out = tmp_path / "out.bin"
+    assert main(["prune", "--method", method, "--weights", str(w), "--hessian", str(h),
+                 "--out", str(out), "--mask-out", str(tmp_path / "mask.bin"),
+                 "--gd-steps", "50", "--max-iter", "400"]) == 0
+    [row] = run_benchmark([0.5], 8, [1], [method], cfg=PruneConfig(max_iter=400, gd_steps=50))
+    assert row.method == method
+    assert row.loss == layer_loss(load_matrix(out), load_matrix(w), load_matrix(h))
 
 
 def test_prune_adaptive_lambda(tmp_path, instance):
@@ -94,12 +111,15 @@ def test_bench_command(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "method,alpha,seed,loss,runtime_s,iterations"
     assert len(lines) == 1 + 2 * 2 * 3
+    labels = {line.split(",")[0] for line in lines[1:]}
+    assert labels == {"wanda", "wanda-gd", "sparsegpt"}
 
 
 def test_bench_rejects_unknown_method(tmp_path):
-    code = main(["bench", "--alphas", "1.0", "--d", "8", "--seeds", "1",
-                 "--methods", "nope", "--out", str(tmp_path / "b.csv")])
-    assert code == 1
+    for method in ("nope", "wanda+gd"):  # the -gd variants have one spelling
+        code = main(["bench", "--alphas", "1.0", "--d", "8", "--seeds", "1",
+                     "--methods", method, "--out", str(tmp_path / "b.csv")])
+        assert code == 1
 
 
 def test_toy_command(capsys):
@@ -128,9 +148,12 @@ def test_missing_file_is_one_line_error(tmp_path, capsys):
 
 
 def test_console_entry_point(tmp_path):
-    # exercise the installed script end to end in a subprocess
+    # exercise the script end to end in a subprocess that imports the same
+    # package as this test, installed or not
+    path = [str(Path(prune24.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     r = subprocess.run([sys.executable, "-m", "prune24.cli", "toy", "--method", "l1"],
-                       capture_output=True, text=True)
+                       capture_output=True, text=True, env=env)
     assert r.returncode == 0
     assert "loss" in r.stdout
 
@@ -154,6 +177,25 @@ def test_prune_l2_steep_schedule_runs_out_budget(tmp_path, instance):
     assert code == 0
     W = load_matrix(out)
     assert np.all(np.isfinite(W)) and is_24_sparse(W, eps=0.0)
+
+
+@pytest.mark.parametrize("method, flags", [
+    ("prox", ["--lambda0", "0"]),
+    ("l1", ["--adaptive-lambda", "0"]),
+    ("prox", ["--beta", "1"]),
+    ("l0", ["--max-iter", "-1"]),
+    ("prox", ["--gd-steps", "-1"]),
+    ("wanda-gd", ["--gd-steps", "-1"]),
+])
+def test_prune_rejects_schedules_that_cannot_work(tmp_path, instance, capsys, method, flags):
+    w, h = instance
+    out = tmp_path / "o.bin"
+    code = main(["prune", "--method", method, "--weights", str(w), "--hessian", str(h),
+                 "--out", str(out), "--mask-out", str(tmp_path / "m.bin"), *flags])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert not out.exists()
 
 
 def test_prune_rejects_nan_weights(tmp_path, instance, capsys):

@@ -107,7 +107,7 @@ def test_reg_path_grid_validation():
 
 
 def test_run_benchmark_small():
-    rows = run_benchmark([1.0, 0.5], 8, [0, 1], ["wanda", "wanda+gd"])
+    rows = run_benchmark([1.0, 0.5], 8, [0, 1], ["wanda", "wanda-gd"])
     assert len(rows) == 8
     keys = [(r.alpha, r.seed, r.method) for r in rows]
     assert keys == sorted(keys)
@@ -115,7 +115,7 @@ def test_run_benchmark_small():
     by = {(r.alpha, r.seed, r.method): r.loss for r in rows}
     for alpha in (1.0, 0.5):
         for seed in (0, 1):
-            assert by[(alpha, seed, "wanda+gd")] <= by[(alpha, seed, "wanda")] + 1e-12
+            assert by[(alpha, seed, "wanda-gd")] <= by[(alpha, seed, "wanda")] + 1e-12
 
 
 def test_run_benchmark_deterministic_apart_from_runtime():

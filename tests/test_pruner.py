@@ -164,9 +164,56 @@ def test_prune_prox_output_exactly_sparse_and_respects_mask():
     assert is_24_sparse(W, eps=0.0)
     assert np.array_equal(mask_of(W), mask)
     assert np.all(W[mask == 0.0] == 0.0)
-    # masked-gradient phase of the trace never increases
-    tail = [loss for it, loss in report.loss_trace[report.iterations:]]
-    assert all(b <= a + 1e-10 for a, b in zip(tail, tail[1:]))
+    # the masked gradient steps do not raise the loss at which the mask froze
+    (_, frozen), (_, final) = report.loss_trace[-2:]
+    assert final <= frozen + 1e-10
+
+
+@pytest.mark.parametrize("max_iter, exit_entries", [(5000, 1), (3, 2)])
+def test_prune_prox_trace_has_one_entry_per_iteration_and_a_final_one(max_iter, exit_entries):
+    rng = np.random.default_rng(35)
+    W_star = rng.normal(size=(1, 8))
+    H = hessian_from_data(rng.normal(size=(8, 12)))
+    cfg = PruneConfig(max_iter=max_iter, gd_steps=50)
+    W, _, report = prune_prox(W_star, H, cfg=cfg)
+    assert report.terminated_by == ("max_iter" if exit_entries == 2 else "sparsity_reached")
+    trace = report.loss_trace
+    assert len(trace) == report.iterations + exit_entries
+    assert [i for i, _ in trace[:report.iterations]] == list(range(1, report.iterations + 1))
+    assert trace[-1][0] == report.iterations + cfg.gd_steps
+    assert trace[-1][1] == pytest.approx(layer_loss(W, W_star, H), rel=1e-9)
+
+
+@pytest.mark.parametrize("sched, cfg", [
+    (LambdaSchedule(lambda0=0.0), PruneConfig()),
+    (LambdaSchedule(lambda0=-0.01), PruneConfig()),
+    (LambdaSchedule(adaptive=True, lambda0_tilde=0.0), PruneConfig()),
+    (LambdaSchedule(beta=1.0), PruneConfig()),
+    (LambdaSchedule(beta=0.9), PruneConfig()),
+    (LambdaSchedule(), PruneConfig(max_iter=-1)),
+    (LambdaSchedule(), PruneConfig(gd_steps=-1)),
+])
+def test_proximal_pipeline_rejects_schedules_that_cannot_work(sched, cfg):
+    W_star, H = toy_problem()
+    with pytest.raises(ValueError):
+        prune_prox(W_star, H, sched, cfg)
+    with pytest.raises(ValueError):
+        simple_reg_prune(W_star, H, "R1", sched, cfg)
+
+
+def test_masked_gd_rejects_bad_input():
+    rng = np.random.default_rng(36)
+    W_star = rng.normal(size=(2, 8))
+    H = np.eye(8)
+    W, mask = wanda_prune(W_star, H)
+    bad = W_star.copy()
+    bad[1, 3] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        masked_gd(W, bad, H, mask, 10)
+    with pytest.raises(ValueError, match="shape of W"):
+        masked_gd(W, W_star, H, mask[:1], 10)  # would broadcast over the rows
+    with pytest.raises(ValueError, match="nonnegative"):
+        masked_gd(W, W_star, H, mask, -1)
 
 
 def test_prune_prox_deterministic():
