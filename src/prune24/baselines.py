@@ -18,7 +18,7 @@ from itertools import combinations, product
 import numpy as np
 
 from .cells import prox_simple_cells
-from .pruner import LambdaSchedule, PruneConfig, check_problem, mask_of, proximal_prune_loop
+from .pruner import check_problem, mask_of, proximal_prune_loop
 
 
 def wanda_scores(W_star: np.ndarray, H: np.ndarray) -> np.ndarray:
@@ -111,8 +111,6 @@ def simple_reg_prune(W_star, H, kind, sched=None, cfg=None):
     """
     if kind not in ("R0", "R1", "R2"):
         raise ValueError(f"unknown kind {kind!r}")
-    sched = sched or LambdaSchedule()
-    cfg = cfg or PruneConfig()
 
     def cell_prox(cells, lam):
         return prox_simple_cells(cells, lam, kind)

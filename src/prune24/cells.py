@@ -10,17 +10,20 @@ The 3-sparse and dense cases are solved by projected gradient descent with
 step 1/4, started at the origin, with an abort rule that discards a case as
 soon as the gradient norm strictly increases (that cannot happen inside the
 region where the case objective is convex, so an increase certifies the case
-is not the minimizer). An interior-point backend with a log-det barrier on
-the objective's Hessian cross-validates the gradient solver.
+is not the minimizer). This is the only solver the pruning pipeline uses.
 
 The case logic lives in two batched functions over n sorted cells:
 ``_solve_case_rows`` (projected GD, Newton polish of stalled rows, the
 second-order check and the positivity test for one case) and ``_pick_case``
 (per row, the best of [z1, z2, 0, 0] and the valid 3-sparse and dense
 candidates, ties going to the sparser case). ``solve_case_gd`` is the case
-solve on one cell; ``prox_enumerate`` (one sorted cell, either backend) and
-``prox_cells`` (a batch of signed cells, either backend) share the case pick;
+solve on one cell; ``prox_enumerate`` (one sorted cell) and ``prox_cells``
+(a batch of signed cells, the pipeline's prox) share the case pick;
 ``prox_full`` wraps ``prox_enumerate`` for one signed cell.
+
+An interior-point solver with a log-det barrier on the objective's Hessian
+(``solve_case_ipm``) is the cell-level cross-check of the gradient solver,
+reached through ``prox_enumerate(backend="ipm")``.
 """
 
 from dataclasses import dataclass
@@ -34,8 +37,7 @@ _POS_RTOL = 1e-12  # coordinates below this (times the cell scale) count as zero
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 2000
-_IPM_TOL = 1e-8  # barrier path tolerance of the interior-point backend
-BACKENDS = ("gd", "ipm")
+_IPM_TOL = 1e-8  # barrier path tolerance of the interior-point solver
 
 
 class CellConvergenceError(RuntimeError):
@@ -166,7 +168,7 @@ def _case_hessian(w, lam, pinned):
 # projected gradient solver (batched over cells)
 
 
-def _gd_solve_batched(Z, lam, pinned, tol, max_iter, trajectory=None):
+def _gd_solve_batched(Z, lam, pinned, max_iter, trajectory=None):
     """Projected GD at step 1/4 from the origin, one row per cell.
 
     pinned=True solves the 3-sparse case by fixing the last coordinate at
@@ -177,7 +179,7 @@ def _gd_solve_batched(Z, lam, pinned, tol, max_iter, trajectory=None):
     Z = np.asarray(Z, dtype=np.float64)
     n = Z.shape[0]
     W = np.zeros_like(Z)
-    tol_eff = tol * np.maximum(1.0, Z[:, 0])
+    tol_eff = DEFAULT_TOL * np.maximum(1.0, Z[:, 0])
     active = np.ones(n, dtype=bool)
     converged = np.zeros(n, dtype=bool)
     aborted = np.zeros(n, dtype=bool)
@@ -265,7 +267,7 @@ def _second_order_ok(w, lam, pinned, tol=1e-9):
     return bool(np.linalg.eigvalsh(_case_hessian(w, lam, pinned))[0] >= -tol)
 
 
-def _solve_case_rows(Z, lam, pinned, tol, max_iter, trajectory=None):
+def _solve_case_rows(Z, lam, pinned, max_iter=DEFAULT_MAX_ITER, trajectory=None):
     """Solve one prox case on every row of an (n, 4) array of sorted cells.
 
     Projected GD, then a Newton polish and second-order check on stalled
@@ -273,11 +275,12 @@ def _solve_case_rows(Z, lam, pinned, tol, max_iter, trajectory=None):
     positive. Returns (W, valid, aborted, polish_failed, iters).
     """
     W, conv, aborted, stalled, iters = _gd_solve_batched(
-        Z, lam, pinned, tol, max_iter, trajectory=trajectory
+        Z, lam, pinned, max_iter, trajectory=trajectory
     )
     polish_failed = np.zeros_like(stalled)
     for idx in np.flatnonzero(stalled):
-        W[idx], ok = _newton_polish(W[idx], Z[idx], lam, pinned, tol * max(1.0, Z[idx, 0]))
+        tol_eff = DEFAULT_TOL * max(1.0, Z[idx, 0])
+        W[idx], ok = _newton_polish(W[idx], Z[idx], lam, pinned, tol_eff)
         polish_failed[idx] = not ok
         conv[idx] = ok and _second_order_ok(W[idx], lam, pinned)
     if pinned:
@@ -295,8 +298,7 @@ def _check_sorted(z):
     return z
 
 
-def solve_case_gd(z, lam, case, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
-                  trajectory=None):
+def solve_case_gd(z, lam, case, max_iter=DEFAULT_MAX_ITER, trajectory=None):
     """Solve one prox case by projected gradient descent.
 
     Returns (w, aborted, iterations) where w is None when the case is ruled
@@ -308,7 +310,7 @@ def solve_case_gd(z, lam, case, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
     if case not in ("dense", "three_sparse"):
         raise ValueError(f"unknown case {case!r}")
     W, valid, aborted, polish_failed, iters = _solve_case_rows(
-        z[None, :], lam, case == "three_sparse", tol, max_iter, trajectory=trajectory
+        z[None, :], lam, case == "three_sparse", max_iter, trajectory=trajectory
     )
     if polish_failed[0]:
         raise CellConvergenceError(
@@ -318,7 +320,7 @@ def solve_case_gd(z, lam, case, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
 
 
 # ---------------------------------------------------------------------------
-# interior-point backend
+# interior-point solver (cell-level cross-check of the gradient solver)
 
 # constant slope matrices of the case Hessian: dA/dw_i = lam * C_i
 def _slope_mats(dim):
@@ -373,7 +375,7 @@ def _barrier_grad_hess(w, lam, dim):
     return grad, hess
 
 
-def solve_case_ipm(z, lam, case, tol=_IPM_TOL):
+def solve_case_ipm(z, lam, case):
     """Solve one prox case by a path-following barrier method.
 
     Minimizes the case objective over {w >= 0, case Hessian PSD} with the
@@ -401,7 +403,7 @@ def solve_case_ipm(z, lam, case, tol=_IPM_TOL):
     nu = 2.0 * dim  # barrier parameter: dim from log-det, dim from the logs
     t = 1.0
     total_newton = 0
-    while nu / t >= tol:
+    while nu / t >= _IPM_TOL:
         for _ in range(60):
             g_f = _grad_rows(w, z[:dim], lam)
             g_b, h_b = _barrier_grad_hess(w, lam, dim)
@@ -453,7 +455,7 @@ class ProxResult:
     """Solution of the sorted-cell prox plus solver diagnostics.
 
     subcase_aborted and iterations are (three_sparse, dense) pairs; for the
-    interior-point backend "aborted" means the case was rejected as
+    interior-point solver "aborted" means the case was rejected as
     non-stationary.
     """
 
@@ -494,11 +496,12 @@ def _candidate(w):
     return (np.zeros((1, 4)) if w is None else w[None, :]), np.array([w is not None])
 
 
-def prox_enumerate(z, lam, backend="gd", tol=None, max_iter=DEFAULT_MAX_ITER) -> ProxResult:
+def prox_enumerate(z, lam, backend="gd") -> ProxResult:
     """Solve the sorted nonnegative cell prox by enumerating the three cases.
 
     Always evaluates the closed-form 2-sparse candidate [z1, z2, 0, 0] and the
-    3-sparse/dense candidates from the chosen backend, then returns the one
+    3-sparse/dense candidates from solve_case_gd (backend="gd") or
+    solve_case_ipm (backend="ipm", the cross-check), then returns the one
     with the smallest objective (ties go to the sparser case). A failed
     Newton polish in the gd backend raises CellConvergenceError.
     """
@@ -509,11 +512,9 @@ def prox_enumerate(z, lam, backend="gd", tol=None, max_iter=DEFAULT_MAX_ITER) ->
         return ProxResult(np.zeros(4), "two_sparse", 0.0, (False, False), (0, 0))
 
     if backend == "gd":
-        tol = DEFAULT_TOL if tol is None else tol
-        solved = [solve_case_gd(z, lam, case, tol, max_iter) for case in _CASES]
+        solved = [solve_case_gd(z, lam, case) for case in _CASES]
     elif backend == "ipm":
-        tol = _IPM_TOL if tol is None else tol
-        solved = [solve_case_ipm(z, lam, case, tol) for case in _CASES]
+        solved = [solve_case_ipm(z, lam, case) for case in _CASES]
     else:
         raise ValueError(f"unknown backend {backend!r}")
 
@@ -522,7 +523,7 @@ def prox_enumerate(z, lam, backend="gd", tol=None, max_iter=DEFAULT_MAX_ITER) ->
     return ProxResult(W[0], _CASE_TAGS[choice[0]], float(F[0]), (ab3, ab4), (it3, it4))
 
 
-def prox_full(z, lam, backend="gd") -> np.ndarray:
+def prox_full(z, lam) -> np.ndarray:
     """2:4 prox of an arbitrary signed 4-vector.
 
     Reduces to the sorted nonnegative problem, solves it, and maps the
@@ -530,38 +531,20 @@ def prox_full(z, lam, backend="gd") -> np.ndarray:
     """
     z = np.asarray(z, dtype=np.float64).reshape(4)
     zs, sp = pos_sort(z)
-    res = prox_enumerate(zs, lam, backend=backend)
+    res = prox_enumerate(zs, lam)
     return inv_pos_sort(res.w, sp)
 
 
-def _ipm_case_rows(Z, lam, case):
-    # solve_case_ipm on every nonzero sorted cell; returns (W, valid)
-    W = np.zeros_like(Z)
-    valid = np.zeros(Z.shape[0], dtype=bool)
-    for i in np.flatnonzero(Z[:, 0] > 0.0):
-        w, _, _ = solve_case_ipm(Z[i], lam, case)
-        if w is not None:
-            W[i], valid[i] = w, True
-    return W, valid
-
-
-def prox_cells(cells, lam, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, backend="gd") -> np.ndarray:
+def prox_cells(cells, lam) -> np.ndarray:
     """Batched 2:4 prox over the rows of an (n, 4) array.
 
-    Equivalent to prox_full row by row, except that a gd row whose Newton
-    polish fails drops that case instead of raising. gd solves all cells in
-    lockstep (tol and max_iter apply to it only); ipm solves cell by cell.
+    Equivalent to prox_full row by row, solving all cells in lockstep, except
+    that a row whose Newton polish fails drops that case instead of raising.
     """
     cells = np.asarray(cells, dtype=np.float64)
     Z, order, signs = pos_sort_cells(cells)
-    if backend == "gd":
-        W3, valid3, *_ = _solve_case_rows(Z, lam, True, tol, max_iter)
-        W4, valid4, *_ = _solve_case_rows(Z, lam, False, tol, max_iter)
-    elif backend == "ipm":
-        W3, valid3 = _ipm_case_rows(Z, lam, "three_sparse")
-        W4, valid4 = _ipm_case_rows(Z, lam, "dense")
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
+    W3, valid3, *_ = _solve_case_rows(Z, lam, True)
+    W4, valid4, *_ = _solve_case_rows(Z, lam, False)
     out, _, _ = _pick_case(Z, lam, W3, valid3, W4, valid4)
     return inv_pos_sort_cells(out, order, signs)
 

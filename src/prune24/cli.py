@@ -184,8 +184,28 @@ def build_parser():
     return ap
 
 
+def _join_option_values(argv):
+    """Write `--flag -1e-3` as `--flag=-1e-3`.
+
+    argparse reads a value that starts with '-' and is not a plain number,
+    such as -1e-3 or -1.6,1.1,0.8,0.5, as an option. Every long option here
+    takes a value, so a token that starts with a single '-' right after one
+    is that option's value.
+    """
+    out = []
+    for token in argv:
+        prev = out[-1] if out else ""
+        if (prev.startswith("--") and "=" not in prev
+                and token.startswith("-") and not token.startswith("--")):
+            out[-1] = f"{prev}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_join_option_values(argv))
     try:
         args.func(args)
     except Exception as exc:  # one-line errors, nonzero exit

@@ -60,7 +60,7 @@ def gen_synthetic(spec: SyntheticSpec):
     return weights, H
 
 
-def reg_path_sweep(z, lam_grid, backend="gd"):
+def reg_path_sweep(z, lam_grid):
     """Prox solution of one cell as a function of the penalty strength.
 
     Returns (rows, lam2_threshold) where each row is
@@ -76,7 +76,7 @@ def reg_path_sweep(z, lam_grid, backend="gd"):
     lam2, _ = lambda_thresholds(zs)
     rows = []
     for lam in lam_grid:
-        res = prox_enumerate(zs, lam, backend=backend)
+        res = prox_enumerate(zs, lam)
         w = inv_pos_sort(res.w, sp)
         rows.append((lam, float(w[0]), float(w[1]), float(w[2]), float(w[3]), res.case_tag))
     return rows, lam2

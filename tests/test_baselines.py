@@ -12,6 +12,8 @@ from prune24.harness import toy_problem
 from prune24.linalg import hessian_from_data, layer_loss
 from prune24.pruner import LambdaSchedule, PruneConfig, is_24_sparse, masked_gd
 
+from bad_inputs import BAD_INPUTS, bad_problem
+
 
 def test_wanda_toy():
     W_star, H = toy_problem()
@@ -98,22 +100,19 @@ def test_sparsegpt_indefinite_hessian_raises():
     rng = np.random.default_rng(47)
     W_star = rng.normal(size=(2, 8))
     H = hessian_from_data(rng.normal(size=(8, 32)))
-    H[5, 5] = -1.0  # one negative curvature direction; inv(H) would still exist
+    # a nonnegative diagonal, so the input checks pass, but a 2x2 block with
+    # eigenvalues 3 and -1; inv(H) would still exist
+    H[4:6, 4:6] = [[1.0, 2.0], [2.0, 1.0]]
+    assert np.all(np.diag(H) >= 0) and np.linalg.eigvalsh(H)[0] < 0
     with pytest.raises(ValueError, match="singular or indefinite"):
         sparsegpt_prune(W_star, H)
 
 
 @pytest.mark.parametrize("prune", [wanda_prune, sparsegpt_prune])
-@pytest.mark.parametrize("where", ["W", "H"])
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_baselines_reject_non_finite_input(prune, where, bad):
-    W_star, H = toy_problem()
-    W_star, H = W_star.copy(), H.copy()
-    if where == "W":
-        W_star[0, 2] = bad
-    else:
-        H[1, 1] = bad
-    with pytest.raises(ValueError, match="finite"):
+@pytest.mark.parametrize("bad, where", BAD_INPUTS)
+def test_baselines_reject_non_finite_input(prune, bad, where):
+    W_star, H, message = bad_problem(bad, where)
+    with pytest.raises(ValueError, match=message):
         prune(W_star, H)
 
 

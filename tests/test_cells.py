@@ -362,18 +362,12 @@ def test_prox_full_signed_permutation_equivariance():
 
 def test_prox_cells_matches_scalar_path():
     rng = np.random.default_rng(20)
-    cells_mat = rng.normal(size=(50, 4))
-    # the interior-point backend is slow: a handful of cells, one of them zero
-    ipm_cells = np.vstack([cells_mat[:5], np.zeros((1, 4))])
-    for backend, mat, lams in (("gd", cells_mat, (0.05, 0.5, 3.0)),
-                               ("ipm", ipm_cells, (0.05, 3.0))):
-        for lam in lams:
-            batched = prox_cells(mat, lam, backend=backend)
-            for i in range(mat.shape[0]):
-                scalar = prox_full(mat[i], lam, backend=backend)
-                assert np.allclose(batched[i], scalar, atol=1e-9), f"{backend} row {i} lam {lam}"
-    with pytest.raises(ValueError):
-        prox_cells(cells_mat, 0.5, backend="magic")
+    cells_mat = np.vstack([rng.normal(size=(50, 4)), np.zeros((1, 4))])
+    for lam in (0.05, 0.5, 3.0):
+        batched = prox_cells(cells_mat, lam)
+        for i in range(cells_mat.shape[0]):
+            scalar = prox_full(cells_mat[i], lam)
+            assert np.allclose(batched[i], scalar, atol=1e-9), f"row {i} lam {lam}"
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,8 @@ from prune24.linalg import layer_loss
 from prune24.matio import load_matrix, save_matrix
 from prune24.pruner import PruneConfig, is_24_sparse
 
+from bad_inputs import bad_problem
+
 
 @pytest.fixture
 def instance(tmp_path):
@@ -78,13 +80,16 @@ def test_eval_loss_roundtrip(tmp_path, instance, capsys):
 
 def test_prox_path_csv(tmp_path):
     out = tmp_path / "path.csv"
-    code = main(["prox-path", "--z", "1.6,1.1,0.8,0.5", "--lambda-min", "0.01",
-                 "--lambda-max", "2.0", "--points", "20", "--out", str(out)])
-    assert code == 0
-    lines = out.read_text().splitlines()
-    assert lines[0] == "lambda,w1,w2,w3,w4,case,lambda2_threshold"
-    assert len(lines) == 21
-    assert lines[-1].split(",")[5] == "two_sparse"
+    for z in ("1.6,1.1,0.8,0.5", "-1.6,1.1,-0.8,0.5"):  # argparse alone rejects the second
+        code = main(["prox-path", "--z", z, "--lambda-min", "0.01",
+                     "--lambda-max", "2.0", "--points", "20", "--out", str(out)])
+        assert code == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == "lambda,w1,w2,w3,w4,case,lambda2_threshold"
+        assert len(lines) == 21
+        last = lines[-1].split(",")
+        assert last[5] == "two_sparse"
+        assert float(last[1]) == float(z.split(",")[0])
 
 
 def test_prox_path_bad_z(tmp_path):
@@ -186,6 +191,8 @@ def test_prune_l2_steep_schedule_runs_out_budget(tmp_path, instance):
     ("l0", ["--max-iter", "-1"]),
     ("prox", ["--gd-steps", "-1"]),
     ("wanda-gd", ["--gd-steps", "-1"]),
+    ("prox", ["--lambda0", "-1e-3"]),  # argparse alone would read -1e-3 as an option
+    ("l2", ["--adaptive-lambda", "-1e-3"]),
 ])
 def test_prune_rejects_schedules_that_cannot_work(tmp_path, instance, capsys, method, flags):
     w, h = instance
@@ -202,14 +209,21 @@ def test_prune_rejects_nan_weights(tmp_path, instance, capsys):
     w, h = instance
     W = load_matrix(w)
     W[0, 1] = np.nan
-    bad = tmp_path / "nan.bin"
-    save_matrix(bad, W)
-    for method in ("prox", "wanda", "sparsegpt-gd"):
-        out = tmp_path / f"{method}.bin"
-        code = main(["prune", "--method", method, "--weights", str(bad), "--hessian", str(h),
-                     "--out", str(out), "--mask-out", str(tmp_path / "m.bin")])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "finite" in err
-        assert len(err.strip().splitlines()) == 1
-        assert not out.exists()
+    save_matrix(tmp_path / "nan.bin", W)
+    cases = [(tmp_path / "nan.bin", h, "finite")]
+    for bad in ("neg", "asym"):  # H = -I, and an asymmetric H
+        W_star, H, message = bad_problem(bad, "H")
+        save_matrix(tmp_path / "toy.bin", W_star)
+        save_matrix(tmp_path / f"{bad}.bin", H)
+        cases.append((tmp_path / "toy.bin", tmp_path / f"{bad}.bin", message))
+    for weights, hessian, message in cases:
+        for method in ("prox", "wanda", "sparsegpt-gd"):
+            out = tmp_path / f"{method}.bin"
+            code = main(["prune", "--method", method, "--weights", str(weights),
+                         "--hessian", str(hessian), "--out", str(out),
+                         "--mask-out", str(tmp_path / "m.bin")])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and message in err
+            assert len(err.strip().splitlines()) == 1
+            assert not out.exists()

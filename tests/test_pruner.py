@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from prune24.baselines import brute_force_mask_search, simple_reg_prune, wanda_prune
-from prune24.harness import toy_problem
+from prune24.harness import SyntheticSpec, gen_synthetic, toy_problem
 from prune24.linalg import hessian_from_data, layer_loss
 from prune24.pruner import (
     LambdaSchedule,
@@ -16,6 +16,8 @@ from prune24.pruner import (
     prune_prox,
     schedule_lambda,
 )
+
+from bad_inputs import BAD_INPUTS, bad_problem
 
 
 def test_schedule_defaults():
@@ -240,30 +242,47 @@ def test_prune_prox_max_iter_fallback_clamps():
     assert np.array_equal(mask_of(W), mask)
 
 
-def test_prune_prox_ipm_backend_small_instance():
-    W_star, H = toy_problem()
-    cfg = PruneConfig(backend="ipm", gd_steps=300)
-    W, mask, _ = prune_prox(W_star, H, cfg=cfg)
-    assert np.array_equal(mask, [[0, 1, 0, 1, 0, 1, 1, 0]])
-    assert layer_loss(W, W_star, H) == pytest.approx(9.0, abs=1e-5)
-
-
-def test_prune_prox_rejects_bad_backend():
-    for W_star in (np.ones((1, 4)), np.array([[1.0, 0.0, 0.0, 2.0]])):  # dense, already 2:4
-        with pytest.raises(ValueError):
-            prune_prox(W_star, np.eye(4), cfg=PruneConfig(backend="magic"))
-
-
-@pytest.mark.parametrize("where", ["W", "H"])
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_proximal_pipeline_rejects_non_finite_input(where, bad):
-    W_star, H = toy_problem()
-    W_star, H = W_star.copy(), H.copy()
-    if where == "W":
-        W_star[0, 2] = bad
-    else:
-        H[1, 1] = bad
-    with pytest.raises(ValueError, match="finite"):
+@pytest.mark.parametrize("bad, where", BAD_INPUTS)
+def test_proximal_pipeline_rejects_non_finite_input(bad, where):
+    W_star, H, message = bad_problem(bad, where)
+    with pytest.raises(ValueError, match=message):
         prune_prox(W_star, H)
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match=message):
         simple_reg_prune(W_star, H, "R1")
+
+
+# ---------------------------------------------------------------------------
+# scale equivariance of the adaptive schedule
+
+
+def _rel_loss(W, W_star, H):
+    return layer_loss(W, W_star, H) / layer_loss(np.zeros_like(W_star), W_star, H)
+
+
+_ADAPTIVE = LambdaSchedule(adaptive=True)
+_SCALE_INSTANCES = {
+    "toy": toy_problem(),
+    "synth16": gen_synthetic(SyntheticSpec(d=16, alpha=0.5, seed=3)),
+}
+
+
+@pytest.fixture(scope="module")
+def unscaled():
+    out = {}
+    for name, (W_star, H) in _SCALE_INSTANCES.items():
+        W, mask, rep = prune_prox(W_star, H, _ADAPTIVE)
+        out[name] = (mask, rep.iterations, _rel_loss(W, W_star, H))
+    return out
+
+
+@pytest.mark.parametrize("scale", [1e-4, 1e-2, 0.5, 8.0, 1e2, 1e4])
+@pytest.mark.parametrize("name", sorted(_SCALE_INSTANCES))
+def test_prune_prox_adaptive_schedule_is_scale_equivariant(unscaled, name, scale):
+    # the adaptive penalty tracks mean |W*|, so scaling W* by c scales the
+    # solution by c: same mask, same iteration count, same relative loss
+    W_star, H = _SCALE_INSTANCES[name]
+    mask, iterations, rel = unscaled[name]
+    W_c, mask_c, rep_c = prune_prox(scale * W_star, H, _ADAPTIVE)
+    assert np.array_equal(mask_c, mask)
+    assert rep_c.iterations == iterations
+    assert _rel_loss(W_c, scale * W_star, H) == pytest.approx(rel, rel=1e-12)
