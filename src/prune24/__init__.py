@@ -16,7 +16,6 @@ from .baselines import (
     wanda_scores,
 )
 from .cells import (
-    CellConvergenceError,
     KktReport,
     ProxResult,
     SignedPerm,
@@ -77,7 +76,6 @@ from .rng import SplitMix64
 
 __all__ = [
     "BenchRow",
-    "CellConvergenceError",
     "KktReport",
     "LambdaSchedule",
     "METHODS",

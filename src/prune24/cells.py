@@ -6,15 +6,18 @@ is nonconvex, but after reducing to a sorted nonnegative input it splits into
 three candidate cases (2-sparse, 3-sparse, dense), each of which is solvable
 by convex optimization.
 
-The 3-sparse and dense cases are solved by projected gradient descent with
-step 1/4, started at the origin, with an abort rule that discards a case as
-soon as the gradient norm strictly increases (that cannot happen inside the
-region where the case objective is convex, so an increase certifies the case
-is not the minimizer). This is the only solver the pruning pipeline uses.
+The 3-sparse and dense cases are solved by projected gradient descent,
+started at the origin, with a per-cell step 1/min(4, 1 + 3 lam (z1 + z2)) that
+the case Hessian's spectrum on the iterates' box [0, z] allows, and an abort
+rule that discards a case as soon as the gradient norm strictly increases
+(that cannot happen inside the region where the case objective is convex, so
+an increase certifies the case is not the minimizer). This is the pruning
+pipeline's solver.
 
 The case logic lives in two batched functions over n sorted cells:
 ``_solve_case_rows`` (projected GD, Newton polish of stalled rows, the
-second-order check and the positivity test for one case) and ``_pick_case``
+second-order check, the interior-point verdict where the polish fails, and
+the positivity test for one case) and ``_pick_case``
 (per row, the best of [z1, z2, 0, 0] and the valid 3-sparse and dense
 candidates, ties going to the sparser case). ``solve_case_gd`` is the case
 solve on one cell; ``prox_enumerate`` (one sorted cell) and ``prox_cells``
@@ -23,7 +26,8 @@ solve on one cell; ``prox_enumerate`` (one sorted cell) and ``prox_cells``
 
 An interior-point solver with a log-det barrier on the objective's Hessian
 (``solve_case_ipm``) is the cell-level cross-check of the gradient solver,
-reached through ``prox_enumerate(backend="ipm")``.
+reached through ``prox_enumerate(backend="ipm")``, and decides the rare
+stalled case whose Newton polish fails.
 """
 
 from dataclasses import dataclass
@@ -31,21 +35,13 @@ from itertools import combinations
 
 import numpy as np
 
-_ETA = 0.25  # gradient step; safe because the Hessian has spectrum <= 4 on the convex region
-_ABORT_GUARD = 1.0 + 1e-12
+_ETA = 0.25  # residual scale of the Newton polish: 1 / 4, the convex region's spectrum bound
+_ABORT_GUARD2 = (1.0 + 1e-12) ** 2  # a gradient norm must grow by this factor, squared
 _POS_RTOL = 1e-12  # coordinates below this (times the cell scale) count as zero
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 2000
 _IPM_TOL = 1e-8  # barrier path tolerance of the interior-point solver
-
-
-class CellConvergenceError(RuntimeError):
-    """A case solver ran out of iterations; carries the last iterate."""
-
-    def __init__(self, message, last_iterate):
-        super().__init__(message)
-        self.last_iterate = np.asarray(last_iterate)
 
 
 # ---------------------------------------------------------------------------
@@ -169,53 +165,92 @@ def _case_hessian(w, lam, pinned):
 
 
 def _gd_solve_batched(Z, lam, pinned, max_iter, trajectory=None):
-    """Projected GD at step 1/4 from the origin, one row per cell.
+    """Projected GD from the origin on the (n, 4) sorted cells Z.
 
     pinned=True solves the 3-sparse case by fixing the last coordinate at
     zero (the free coordinates then see exactly the 3-variable objective).
-    Returns (W, converged, aborted, stalled, iters). Rows abort as soon as
-    their gradient norm strictly increases between consecutive iterates.
+    Each cell steps at eta = 1/min(4, 1 + 3 lam (z1 + z2)): for w >= 0 and
+    eta <= 1, g_i >= w_i - z_i, so the iterates stay in the box [0, z], and
+    there Gershgorin bounds the spectrum of either case Hessian by
+    1 + 3 lam (z1 + z2); 4 bounds it on the convex region. A cell aborts as
+    soon as its gradient norm strictly increases between consecutive
+    iterates, and converges once its projected step divided by its eta is
+    within the tolerance. Returns (W, converged, aborted, stalled, iters).
     """
     Z = np.asarray(Z, dtype=np.float64)
     n = Z.shape[0]
-    W = np.zeros_like(Z)
-    tol_eff = DEFAULT_TOL * np.maximum(1.0, Z[:, 0])
-    active = np.ones(n, dtype=bool)
+    W_out = np.zeros((n, 4))
     converged = np.zeros(n, dtype=bool)
     aborted = np.zeros(n, dtype=bool)
+    stalled = np.zeros(n, dtype=bool)
     iters = np.zeros(n, dtype=np.int64)
-    gprev = np.full(n, np.inf)
 
-    if trajectory is not None:
-        trajectory.append(W[0].copy())
+    # The live cells are the columns of (4, m) arrays, so every per-cell sum
+    # over the 4 coordinates is elementwise arithmetic on rows. A finished
+    # cell is written out by index and frozen (eta 0, a negative step
+    # tolerance); the arrays shrink to the live cells once half are finished.
+    idx = np.arange(n)
+    Zl = Z.T.copy()
+    W = np.zeros_like(Zl)
+    eta = 1.0 / (1.0 + 3.0 * np.minimum(lam * (Zl[0] + Zl[1]), 1.0))
+    step_tol = DEFAULT_TOL * np.maximum(1.0, Zl[0]) * eta
+    gcap = np.full(n, np.inf)  # a squared gradient norm above this aborts
+    live = n
 
-    for _ in range(max_iter):
-        G = _grad_rows(W, Z, lam)
+    def finish(done, flag, steps):
+        out = idx[done]
+        W_out[out] = W[:, done].T
+        flag[out] = True
+        iters[out] = steps
+        eta[done] = 0.0
+        step_tol[done] = -1.0
+        gcap[done] = np.inf  # a frozen cell must not abort on its next gradient
+        return out.size
+
+    tracking = trajectory is not None  # row 0 sits in column 0 while live
+    if tracking:
+        trajectory.append(W[:, 0].copy())
+    k = 0
+    while live and k < max_iter:
+        k += 1
+        # g_i = w_i - z_i + lam * e2(the other three coordinates); for w1
+        # that is w2 (w3 + w4) + w3 w4, and likewise within the pairs (1, 2)
+        # and (3, 4)
+        P = W.reshape(2, 2, -1)
+        sums = P[:, 0] + P[:, 1]
+        prods = P[:, 0] * P[:, 1]
+        G = (P[:, ::-1] * sums[::-1, None] + prods[::-1, None]).reshape(4, -1)
+        G *= lam
+        G += W
+        G -= Zl
         if pinned:
-            G[:, 3] = 0.0
-        gnorm = np.linalg.norm(G, axis=1)
+            G[3] = 0.0
+        gn2 = np.einsum("ij,ij->j", G, G)
 
-        abort_now = active & (gnorm > gprev * _ABORT_GUARD)
-        aborted |= abort_now
-        active &= ~abort_now
+        abort = gn2 > gcap
+        gcap = gn2 * _ABORT_GUARD2
+        if abort.any():  # these cells keep the iterate whose gradient grew
+            live -= finish(abort, aborted, k - 1)
 
-        Wn = np.maximum(W - _ETA * G, 0.0)
-        res = np.abs(Wn - W).max(axis=1) / _ETA
-        conv_now = active & (res <= tol_eff)
-        converged |= conv_now
-        step = active.copy()  # includes rows converging this iteration
-        active &= ~conv_now
+        Wn = W - eta * G
+        np.maximum(Wn, 0.0, out=Wn)
+        conv = np.abs(Wn - W).max(axis=0) <= step_tol
+        if tracking:
+            tracking = not (abort[0] or conv[0])
+            if not abort[0]:
+                trajectory.append(Wn[:, 0].copy())
+        W = Wn
+        if conv.any():
+            live -= finish(conv, converged, k)
 
-        W = np.where(step[:, None], Wn, W)
-        gprev = np.where(step, gnorm, gprev)
-        iters += step
+        if 0 < 2 * live <= W.shape[1]:
+            keep = step_tol >= 0.0
+            idx, W, Zl = idx[keep], W[:, keep], Zl[:, keep]
+            eta, step_tol, gcap = eta[keep], step_tol[keep], gcap[keep]
 
-        if trajectory is not None and step[0]:
-            trajectory.append(W[0].copy())
-        if not active.any():
-            break
-
-    return W, converged, aborted, active.copy(), iters
+    if live:
+        finish(step_tol >= 0.0, stalled, k)
+    return W_out, converged, aborted, stalled, iters
 
 
 def _newton_polish(w, z, lam, pinned, tol_eff, max_iter=40):
@@ -271,24 +306,32 @@ def _solve_case_rows(Z, lam, pinned, max_iter=DEFAULT_MAX_ITER, trajectory=None)
     """Solve one prox case on every row of an (n, 4) array of sorted cells.
 
     Projected GD, then a Newton polish and second-order check on stalled
-    rows; a row is valid when the case's free coordinates end up strictly
-    positive. Returns (W, valid, aborted, polish_failed, iters).
+    rows; a stalled row whose polish fails takes the interior-point solver's
+    verdict. A row is valid when the case's free coordinates end up strictly
+    positive. Returns (W, valid, aborted, iters).
     """
     W, conv, aborted, stalled, iters = _gd_solve_batched(
         Z, lam, pinned, max_iter, trajectory=trajectory
     )
-    polish_failed = np.zeros_like(stalled)
     for idx in np.flatnonzero(stalled):
         tol_eff = DEFAULT_TOL * max(1.0, Z[idx, 0])
         W[idx], ok = _newton_polish(W[idx], Z[idx], lam, pinned, tol_eff)
-        polish_failed[idx] = not ok
-        conv[idx] = ok and _second_order_ok(W[idx], lam, pinned)
+        if ok:
+            conv[idx] = _second_order_ok(W[idx], lam, pinned)
+            continue
+        # the polish can reject a step that does reach the optimum (its
+        # objective test is blind below a few ulps), so this row's GD
+        # iterate proves nothing either way
+        w, _, _ = solve_case_ipm(Z[idx], lam, "three_sparse" if pinned else "dense")
+        conv[idx] = w is not None
+        if w is not None:
+            W[idx] = w
     if pinned:
         W[:, 3] = 0.0
     thr = _POS_RTOL * np.maximum(1.0, Z[:, 0])
     need_pos = W[:, :3] if pinned else W
     valid = conv & np.all(need_pos > thr[:, None], axis=1)
-    return W, valid, aborted, polish_failed, iters
+    return W, valid, aborted, iters
 
 
 def _check_sorted(z):
@@ -309,18 +352,15 @@ def solve_case_gd(z, lam, case, max_iter=DEFAULT_MAX_ITER, trajectory=None):
     z = _check_sorted(z)
     if case not in ("dense", "three_sparse"):
         raise ValueError(f"unknown case {case!r}")
-    W, valid, aborted, polish_failed, iters = _solve_case_rows(
+    W, valid, aborted, iters = _solve_case_rows(
         z[None, :], lam, case == "three_sparse", max_iter, trajectory=trajectory
     )
-    if polish_failed[0]:
-        raise CellConvergenceError(
-            f"{case} cell solver did not converge in {max_iter} iterations", W[0]
-        )
     return (W[0] if valid[0] else None), bool(aborted[0]), int(iters[0])
 
 
 # ---------------------------------------------------------------------------
-# interior-point solver (cell-level cross-check of the gradient solver)
+# interior-point solver (cross-check of the gradient solver, and its fallback
+# where the Newton polish fails)
 
 # constant slope matrices of the case Hessian: dA/dw_i = lam * C_i
 def _slope_mats(dim):
@@ -502,8 +542,7 @@ def prox_enumerate(z, lam, backend="gd") -> ProxResult:
     Always evaluates the closed-form 2-sparse candidate [z1, z2, 0, 0] and the
     3-sparse/dense candidates from solve_case_gd (backend="gd") or
     solve_case_ipm (backend="ipm", the cross-check), then returns the one
-    with the smallest objective (ties go to the sparser case). A failed
-    Newton polish in the gd backend raises CellConvergenceError.
+    with the smallest objective (ties go to the sparser case).
     """
     z = _check_sorted(z)
     if lam < 0:
@@ -538,8 +577,7 @@ def prox_full(z, lam) -> np.ndarray:
 def prox_cells(cells, lam) -> np.ndarray:
     """Batched 2:4 prox over the rows of an (n, 4) array.
 
-    Equivalent to prox_full row by row, solving all cells in lockstep, except
-    that a row whose Newton polish fails drops that case instead of raising.
+    Equivalent to prox_full row by row, solving all cells in lockstep.
     """
     cells = np.asarray(cells, dtype=np.float64)
     Z, order, signs = pos_sort_cells(cells)

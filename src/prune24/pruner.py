@@ -172,12 +172,29 @@ def _check_schedule(sched, cfg):
                          f"got {cfg.max_iter} and {cfg.gd_steps}")
 
 
+# A PSD H gives a nonnegative loss, and once rescaled to a unit diagonal its
+# entries are at most 1 in magnitude, so the roundoff of a computed loss
+# stays far below this times d ||W - W*||^2.
+_LOSS_RTOL = 1e-10
+
+
+def _traced_loss(W, W_t, H_t, k):
+    """layer_loss(W, W_t, H_t); raises ValueError when it is negative beyond
+    roundoff, which proves H indefinite."""
+    loss = layer_loss(W, W_t, H_t)
+    if loss < 0.0 and -loss > _LOSS_RTOL * W.shape[1] * np.sum((W - W_t) ** 2):
+        raise ValueError(f"hessian is indefinite: the loss fell to {loss:.3g} "
+                         f"at iteration {k}")
+    return loss
+
+
 def proximal_prune_loop(W_star, H, sched, cfg, cell_prox):
     """Shared proximal-gradient pruning pipeline.
 
     cell_prox(cells, lam) maps an (n, 4) array of (signed) cells to its prox.
     Returns (W, mask, report) in the original coordinates. Raises the
-    ValueErrors of check_problem and of a schedule that cannot work.
+    ValueErrors of check_problem and of a schedule that cannot work, and
+    ValueError as soon as a traced loss is negative beyond roundoff.
     """
     W_star, H = check_problem(W_star, H)
     sched = sched or LambdaSchedule()
@@ -200,17 +217,17 @@ def proximal_prune_loop(W_star, H, sched, cfg, cell_prox):
         lam = schedule_lambda(sched, k, W_t)
         W = cell_prox(_cells(W), lam).reshape(W.shape)
         k += 1
-        trace.append((k, layer_loss(W, W_t, H_t)))
+        trace.append((k, _traced_loss(W, W_t, H_t, k)))
 
     terminated_by = "sparsity_reached"
     if not is_24_sparse(W, 0.0):
         terminated_by = "max_iter"
         W = clamp_top2(W)
-        trace.append((k, layer_loss(W, W_t, H_t)))
+        trace.append((k, _traced_loss(W, W_t, H_t, k)))
 
     mask = mask_of(W, 0.0)
     W = masked_gd(W, W_t, H_t, mask, cfg.gd_steps, eta)
-    trace.append((k + cfg.gd_steps, layer_loss(W, W_t, H_t)))
+    trace.append((k + cfg.gd_steps, _traced_loss(W, W_t, H_t, k + cfg.gd_steps)))
 
     W = unprecondition(W, scales)
     report = PruneReport(

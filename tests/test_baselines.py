@@ -12,7 +12,7 @@ from prune24.harness import toy_problem
 from prune24.linalg import hessian_from_data, layer_loss
 from prune24.pruner import LambdaSchedule, PruneConfig, is_24_sparse, masked_gd
 
-from bad_inputs import BAD_INPUTS, bad_problem
+from bad_inputs import BAD_INPUTS, bad_problem, indefinite_problem
 
 
 def test_wanda_toy():
@@ -97,12 +97,7 @@ def test_sparsegpt_singular_hessian_raises_without_damping():
 
 
 def test_sparsegpt_indefinite_hessian_raises():
-    rng = np.random.default_rng(47)
-    W_star = rng.normal(size=(2, 8))
-    H = hessian_from_data(rng.normal(size=(8, 32)))
-    # a nonnegative diagonal, so the input checks pass, but a 2x2 block with
-    # eigenvalues 3 and -1; inv(H) would still exist
-    H[4:6, 4:6] = [[1.0, 2.0], [2.0, 1.0]]
+    W_star, H = indefinite_problem()
     assert np.all(np.diag(H) >= 0) and np.linalg.eigvalsh(H)[0] < 0
     with pytest.raises(ValueError, match="singular or indefinite"):
         sparsegpt_prune(W_star, H)

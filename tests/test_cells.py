@@ -3,7 +3,6 @@ import pytest
 
 from prune24 import cells
 from prune24.cells import (
-    CellConvergenceError,
     brute_force_prox_oracle,
     cell_objective,
     hessian_f,
@@ -168,11 +167,65 @@ def test_gd_rejects_unsorted_input():
         solve_case_gd(np.array([2.0, 1.0, 0.5, -0.1]), 1.0, "dense")
 
 
-def test_gd_convergence_error_carries_iterate(monkeypatch):
-    monkeypatch.setattr(cells, "_newton_polish", lambda *a, **k: (a[0], False))
-    with pytest.raises(CellConvergenceError) as info:
-        solve_case_gd(np.array([1.6, 1.1, 0.8, 0.5]), 0.05, "dense", max_iter=3)
-    assert info.value.last_iterate.shape == (4,)
+def _fail_first_polish(monkeypatch, pinned):
+    # the first Newton polish of one case fails; later ones (the IPM's own
+    # among them) run as usual
+    polish, failed = cells._newton_polish, []
+
+    def fake(w, z, lam, pinned_, *args, **kwargs):
+        if pinned_ == pinned and not failed:
+            failed.append(True)
+            return w, False
+        return polish(w, z, lam, pinned_, *args, **kwargs)
+
+    monkeypatch.setattr(cells, "_newton_polish", fake)
+    return failed
+
+
+# Cells where the polish of a stalled GD row once failed: the dense case at
+# lam=0.3 and the 3-sparse case at lam=1 are the optimum.
+POLISH_CELLS = [
+    pytest.param([2.13268752709739, 1.5550186363820302, 1.3994681804950502,
+                  1.3236075615337273], 0.3, id="dense-lam0.3"),
+    pytest.param([0.7414488725547751, 0.7375372345649523, 0.5460524383867058,
+                  0.4830847839039425], 1.0, id="three_sparse-lam1"),
+]
+
+
+@pytest.mark.parametrize("z, lam", POLISH_CELLS)
+def test_prox_cells_matches_oracle_and_ipm_on_polish_cells(z, lam):
+    z = np.array(z)
+    w = prox_cells(z[None, :], lam)[0]
+    _, fo = brute_force_prox_oracle(z, lam)
+    assert abs(cell_objective(w, z, lam) - fo) <= 1e-9
+    assert np.allclose(w, prox_enumerate(z, lam, backend="ipm").w, atol=1e-9)
+
+
+@pytest.mark.parametrize("z, lam", POLISH_CELLS)
+def test_failed_polish_takes_the_ipm_verdict(monkeypatch, z, lam):
+    # a stalled row whose polish fails gets the IPM's verdict on its case,
+    # on the scalar and the batched path alike
+    z = np.array(z)
+    expect = prox_enumerate(z, lam, backend="ipm")
+    case = expect.case_tag
+    pinned = case == "three_sparse"
+    w_ipm, _, _ = solve_case_ipm(z, lam, case)
+
+    failed = _fail_first_polish(monkeypatch, pinned)
+    w, aborted, iters = solve_case_gd(z, lam, case, max_iter=3)
+    assert failed and not aborted and iters == 3
+    assert np.array_equal(w, w_ipm)
+
+    # GD cut short on the optimal case, so that it stalls
+    failed.clear()
+    kernel = cells._gd_solve_batched
+    monkeypatch.setattr(
+        cells, "_gd_solve_batched",
+        lambda Z, lam_, p, max_iter, trajectory=None:
+            kernel(Z, lam_, p, 3 if p == pinned else max_iter, trajectory),
+    )
+    assert np.allclose(prox_cells(z[None, :], lam)[0], expect.w, atol=1e-9)
+    assert failed
 
 
 def test_ipm_agrees_with_gd_on_reference_cases():
@@ -321,6 +374,73 @@ def test_hessian_spectrum_bounded_inside_psd_region():
             hits += 1
             assert np.linalg.eigvalsh(Hf)[-1] <= 4.0 + 1e-9
     assert hits > 20
+
+
+def test_gd_step_bound_holds_on_the_box():
+    # the kernel's per-cell step 1/min(4, 1 + 3 lam (z1 + z2)) rests on two
+    # facts: GD iterates stay in the box [0, z], and on that box both case
+    # Hessians have spectrum <= 1 + 3 lam (z1 + z2)
+    rng = np.random.default_rng(24)
+    for i in range(2000):
+        z = sorted_abs(rng, scale=10.0 ** rng.uniform(-1.0, 1.0))
+        lam = 10.0 ** rng.uniform(-2.5, 1.0)
+        bound = (1.0 + 3.0 * lam * (z[0] + z[1])) * (1.0 + 1e-12)  # eigvalsh roundoff
+        w = rng.uniform(size=4) * z
+        assert np.linalg.eigvalsh(hessian_f(w, lam))[-1] <= bound
+        assert np.linalg.eigvalsh(hessian_g(w[:3], lam))[-1] <= bound
+        if i % 10 == 0:
+            for case in ("dense", "three_sparse"):
+                traj = []
+                solve_case_gd(z, lam, case, trajectory=traj)
+                assert all(np.all(v >= 0.0) and np.all(v <= z) for v in traj)
+
+
+def _gd_solve_reference(Z, lam, pinned, max_iter, trajectory=None):
+    """The fixed-step kernel: projected GD at step 1/4 on an (n, 4) array,
+    every row stepping until all have finished. Same contract as
+    cells._gd_solve_batched."""
+    eta, guard = 0.25, 1.0 + 1e-12
+    Z = np.asarray(Z, dtype=np.float64)
+    n = Z.shape[0]
+    W = np.zeros_like(Z)
+    tol_eff = cells.DEFAULT_TOL * np.maximum(1.0, Z[:, 0])
+    active = np.ones(n, dtype=bool)
+    converged = np.zeros(n, dtype=bool)
+    aborted = np.zeros(n, dtype=bool)
+    iters = np.zeros(n, dtype=np.int64)
+    gprev = np.full(n, np.inf)
+    for _ in range(max_iter):
+        G = cells._grad_rows(W, Z, lam)
+        if pinned:
+            G[:, 3] = 0.0
+        gnorm = np.linalg.norm(G, axis=1)
+        abort_now = active & (gnorm > gprev * guard)
+        aborted |= abort_now
+        active &= ~abort_now
+        Wn = np.maximum(W - eta * G, 0.0)
+        res = np.abs(Wn - W).max(axis=1) / eta
+        conv_now = active & (res <= tol_eff)
+        converged |= conv_now
+        step = active.copy()
+        active &= ~conv_now
+        W = np.where(step[:, None], Wn, W)
+        gprev = np.where(step, gnorm, gprev)
+        iters += step
+        if not active.any():
+            break
+    return W, converged, aborted, active.copy(), iters
+
+
+@pytest.mark.parametrize("lam", [0.01, 0.1, 0.3, 1.0, 3.0])
+def test_prox_cells_matches_the_fixed_step_kernel(monkeypatch, lam):
+    # the per-cell step moves each case solution within the GD tolerance:
+    # every cell keeps its case and its weights to 1e-8
+    cells_mat = np.random.default_rng(25).normal(size=(1000, 4))
+    fast = prox_cells(cells_mat, lam)
+    monkeypatch.setattr(cells, "_gd_solve_batched", _gd_solve_reference)
+    ref = prox_cells(cells_mat, lam)
+    assert np.array_equal(np.count_nonzero(fast, axis=1), np.count_nonzero(ref, axis=1))
+    assert np.abs(fast - ref).max() <= 1e-8
 
 
 # ---------------------------------------------------------------------------

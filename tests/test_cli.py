@@ -13,7 +13,7 @@ from prune24.linalg import layer_loss
 from prune24.matio import load_matrix, save_matrix
 from prune24.pruner import PruneConfig, is_24_sparse
 
-from bad_inputs import bad_problem
+from bad_inputs import bad_problem, indefinite_problem
 
 
 @pytest.fixture
@@ -227,3 +227,19 @@ def test_prune_rejects_nan_weights(tmp_path, instance, capsys):
             assert err.startswith("error:") and message in err
             assert len(err.strip().splitlines()) == 1
             assert not out.exists()
+
+
+def test_prune_rejects_an_indefinite_hessian(tmp_path, capsys):
+    W_star, H = indefinite_problem()
+    save_matrix(tmp_path / "w.bin", W_star)
+    save_matrix(tmp_path / "h.bin", H)
+    for method in ("prox", "l0", "l1", "l2"):
+        out = tmp_path / f"{method}.bin"
+        code = main(["prune", "--method", method, "--weights", str(tmp_path / "w.bin"),
+                     "--hessian", str(tmp_path / "h.bin"), "--out", str(out),
+                     "--mask-out", str(tmp_path / "m.bin")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "indefinite" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()

@@ -17,7 +17,7 @@ from prune24.pruner import (
     schedule_lambda,
 )
 
-from bad_inputs import BAD_INPUTS, bad_problem
+from bad_inputs import BAD_INPUTS, bad_problem, indefinite_problem
 
 
 def test_schedule_defaults():
@@ -249,6 +249,17 @@ def test_proximal_pipeline_rejects_non_finite_input(bad, where):
         prune_prox(W_star, H)
     with pytest.raises(ValueError, match=message):
         simple_reg_prune(W_star, H, "R1")
+
+
+def test_proximal_pipeline_rejects_an_indefinite_hessian():
+    # the loss of a PSD H cannot go negative; on this H it does within 10
+    # outer iterations, where the loop used to run on to a loss of -1e252
+    W_star, H = indefinite_problem()
+    with pytest.raises(ValueError, match="indefinite"):
+        prune_prox(W_star, H)
+    for kind in ("R0", "R1", "R2"):
+        with pytest.raises(ValueError, match="indefinite"):
+            simple_reg_prune(W_star, H, kind)
 
 
 # ---------------------------------------------------------------------------
