@@ -18,18 +18,13 @@ from .baselines import (
 from .cells import (
     KktReport,
     ProxResult,
-    SignedPerm,
     cell_objective,
     hessian_f,
     hessian_g,
-    inv_pos_sort,
     kkt_check,
     lambda_thresholds,
-    pos_sort,
     prox_cells,
     prox_enumerate,
-    prox_full,
-    prox_simple,
     regularizer_rNM,
     solve_case_gd,
     solve_case_ipm,
@@ -82,7 +77,6 @@ __all__ = [
     "ProxResult",
     "PruneConfig",
     "PruneReport",
-    "SignedPerm",
     "SplitMix64",
     "SyntheticSpec",
     "benchmark_csv",
@@ -92,7 +86,6 @@ __all__ = [
     "hessian_f",
     "hessian_from_data",
     "hessian_g",
-    "inv_pos_sort",
     "is_24_sparse",
     "is_psd",
     "kkt_check",
@@ -103,12 +96,9 @@ __all__ = [
     "mask_of",
     "masked_gd",
     "max_eigenvalue",
-    "pos_sort",
     "precondition",
     "prox_cells",
     "prox_enumerate",
-    "prox_full",
-    "prox_simple",
     "prune_prox",
     "read_matrix",
     "read_matrix_csv",

@@ -18,7 +18,7 @@ from itertools import combinations, product
 import numpy as np
 
 from .cells import prox_simple_cells
-from .pruner import check_problem, mask_of, proximal_prune_loop
+from .pruner import check_problem, keep_top2, mask_of, proximal_prune_loop
 
 
 def wanda_scores(W_star: np.ndarray, H: np.ndarray) -> np.ndarray:
@@ -27,25 +27,13 @@ def wanda_scores(W_star: np.ndarray, H: np.ndarray) -> np.ndarray:
     return np.abs(np.asarray(W_star, dtype=np.float64)) * np.sqrt(diag)[None, :]
 
 
-def _prune_two_smallest(values: np.ndarray) -> np.ndarray:
-    """Per cell, return a 0/1 keep-mask zeroing the 2 smallest values.
-
-    Stable ties: among equal values the lowest column index is pruned first.
-    """
-    cells = values.reshape(-1, 4)
-    order = np.argsort(cells, axis=1, kind="stable")
-    keep = np.ones_like(cells)
-    np.put_along_axis(keep, order[:, :2], 0.0, axis=1)
-    return keep.reshape(values.shape)
-
-
 def wanda_prune(W_star: np.ndarray, H: np.ndarray):
     """Keep the 2 highest-scoring weights per cell at their original values.
 
     Raises the ValueErrors of check_problem.
     """
     W_star, H = check_problem(W_star, H)
-    mask = _prune_two_smallest(wanda_scores(W_star, H))
+    mask = keep_top2(wanda_scores(W_star, H)).astype(np.float64)
     return W_star * mask, mask
 
 

@@ -19,10 +19,13 @@ The case logic lives in two batched functions over n sorted cells:
 second-order check, the interior-point verdict where the polish fails, and
 the positivity test for one case) and ``_pick_case``
 (per row, the best of [z1, z2, 0, 0] and the valid 3-sparse and dense
-candidates, ties going to the sparser case). ``solve_case_gd`` is the case
-solve on one cell; ``prox_enumerate`` (one sorted cell) and ``prox_cells``
-(a batch of signed cells, the pipeline's prox) share the case pick;
-``prox_full`` wraps ``prox_enumerate`` for one signed cell.
+candidates, ties going to the sparser case). ``_prox_sorted`` runs both on
+sorted cells, and is the only prox body: ``prox_cells`` (the pipeline's
+prox, on signed cells; one cell is a one-row call) reduces to it through
+``pos_sort_cells`` and ``inv_pos_sort_cells``, and ``prox_enumerate``
+calls it on one sorted cell. ``solve_case_gd`` is the case solve on one
+cell. Every entry point raises ValueError unless lam is finite and
+nonnegative and the cells are finite.
 
 An interior-point solver with a log-det barrier on the objective's Hessian
 (``solve_case_ipm``) is the cell-level cross-check of the gradient solver,
@@ -63,25 +66,28 @@ def regularizer_rNM(w: np.ndarray, N: int, M: int) -> float:
     return float(sum(np.prod(a[list(S)]) for S in combinations(range(M), N + 1)))
 
 
-@dataclass
-class SignedPerm:
-    """Signs and sorting permutation recorded by pos_sort.
+def _check_lam(lam):
+    if not (np.isfinite(lam) and lam >= 0):
+        raise ValueError(f"lam must be finite and nonnegative, got {lam}")
 
-    ``perm[i]`` is the original index of the i-th largest magnitude;
-    ``signs`` is indexed by original position.
-    """
 
-    signs: np.ndarray
-    perm: np.ndarray
+def _check_cells(cells):
+    cells = np.asarray(cells, dtype=np.float64)
+    if cells.ndim != 2 or cells.shape[1] != 4:
+        raise ValueError(f"cells must be an (n, 4) array, got shape {cells.shape}")
+    if not np.all(np.isfinite(cells)):
+        raise ValueError("cells must be finite (found NaN or inf)")
+    return cells
 
 
 def pos_sort_cells(cells: np.ndarray):
     """Rowwise |.|-descending stable sort of an (n, 4) array.
 
     Returns (sorted_abs, order, signs); ties keep original order so the
-    reduction is deterministic.
+    reduction is deterministic. inv_pos_sort_cells undoes it. Raises
+    ValueError unless cells is a finite (n, 4) array.
     """
-    cells = np.asarray(cells, dtype=np.float64)
+    cells = _check_cells(cells)
     order = np.argsort(-np.abs(cells), axis=1, kind="stable")
     sorted_abs = np.take_along_axis(np.abs(cells), order, axis=1)
     signs = np.where(cells < 0, -1.0, 1.0)
@@ -92,19 +98,6 @@ def inv_pos_sort_cells(W: np.ndarray, order: np.ndarray, signs: np.ndarray) -> n
     out = np.empty_like(W)
     np.put_along_axis(out, order, W, axis=1)
     return out * signs
-
-
-def pos_sort(z: np.ndarray):
-    """Sort a 4-vector by absolute value (descending) and strip signs."""
-    z = np.asarray(z, dtype=np.float64)
-    sorted_abs, order, signs = pos_sort_cells(z[None, :])
-    return sorted_abs[0], SignedPerm(signs=signs[0], perm=order[0])
-
-
-def inv_pos_sort(w: np.ndarray, sp: SignedPerm) -> np.ndarray:
-    """Undo pos_sort: scatter back to original positions and restore signs."""
-    w = np.asarray(w, dtype=np.float64)
-    return inv_pos_sort_cells(w[None, :], sp.perm[None, :], sp.signs[None, :])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +328,7 @@ def _solve_case_rows(Z, lam, pinned, max_iter=DEFAULT_MAX_ITER, trajectory=None)
 
 
 def _check_sorted(z):
-    z = np.asarray(z, dtype=np.float64).reshape(4)
+    z = _check_cells(np.reshape(z, (1, 4)))[0]
     if z[3] < 0 or np.any(np.diff(z) > 0):
         raise ValueError(f"cell input must be sorted nonnegative, got {z}")
     return z
@@ -350,6 +343,7 @@ def solve_case_gd(z, lam, case, max_iter=DEFAULT_MAX_ITER, trajectory=None):
     collects every GD iterate for convexity-region monitoring.
     """
     z = _check_sorted(z)
+    _check_lam(lam)
     if case not in ("dense", "three_sparse"):
         raise ValueError(f"unknown case {case!r}")
     W, valid, aborted, iters = _solve_case_rows(
@@ -425,6 +419,7 @@ def solve_case_ipm(z, lam, case):
     case objective, i.e. the case cannot be the cell optimum.
     """
     z = _check_sorted(z)
+    _check_lam(lam)
     if case not in ("dense", "three_sparse"):
         raise ValueError(f"unknown case {case!r}")
     dim = 3 if case == "three_sparse" else 4
@@ -492,18 +487,12 @@ def solve_case_ipm(z, lam, case):
 
 @dataclass
 class ProxResult:
-    """Solution of the sorted-cell prox plus solver diagnostics.
-
-    subcase_aborted and iterations are (three_sparse, dense) pairs; for the
-    interior-point solver "aborted" means the case was rejected as
-    non-stationary.
-    """
+    """Solution of the sorted-cell prox: the weights, the winning case and
+    its objective."""
 
     w: np.ndarray
     case_tag: str  # two_sparse | three_sparse | dense
     objective: float
-    subcase_aborted: tuple
-    iterations: tuple
 
 
 _CASES = ("three_sparse", "dense")
@@ -531,59 +520,49 @@ def _pick_case(Z, lam, W3, valid3, W4, valid4):
     return out, choice, F.min(axis=1)
 
 
-def _candidate(w):
-    # a scalar case solution (None when ruled out) as a 1-row candidate
-    return (np.zeros((1, 4)) if w is None else w[None, :]), np.array([w is not None])
+def _prox_sorted(Z, lam):
+    """The prox of every row of the (n, 4) sorted nonnegative cells Z: both
+    convex cases by projected GD, then the case pick. Returns _pick_case's
+    (W, choice, objective)."""
+    W3, valid3, *_ = _solve_case_rows(Z, lam, True)
+    W4, valid4, *_ = _solve_case_rows(Z, lam, False)
+    return _pick_case(Z, lam, W3, valid3, W4, valid4)
 
 
 def prox_enumerate(z, lam, backend="gd") -> ProxResult:
     """Solve the sorted nonnegative cell prox by enumerating the three cases.
 
     Always evaluates the closed-form 2-sparse candidate [z1, z2, 0, 0] and the
-    3-sparse/dense candidates from solve_case_gd (backend="gd") or
-    solve_case_ipm (backend="ipm", the cross-check), then returns the one
-    with the smallest objective (ties go to the sparser case).
+    3-sparse/dense candidates from projected GD (backend="gd", the same
+    solve as prox_cells) or solve_case_ipm (backend="ipm", the cross-check),
+    then returns the one with the smallest objective (ties go to the sparser
+    case). Raises ValueError unless z is sorted, nonnegative and finite and
+    lam is finite and nonnegative.
     """
-    z = _check_sorted(z)
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
-    if z[0] <= 0.0:
-        return ProxResult(np.zeros(4), "two_sparse", 0.0, (False, False), (0, 0))
-
+    Z = _check_sorted(z)[None, :]
+    _check_lam(lam)
     if backend == "gd":
-        solved = [solve_case_gd(z, lam, case) for case in _CASES]
+        W, choice, F = _prox_sorted(Z, lam)
     elif backend == "ipm":
-        solved = [solve_case_ipm(z, lam, case) for case in _CASES]
+        cands = []
+        for case in _CASES:
+            w, _, _ = solve_case_ipm(Z[0], lam, case)
+            cands += [np.zeros((1, 4)) if w is None else w[None, :], np.array([w is not None])]
+        W, choice, F = _pick_case(Z, lam, *cands)
     else:
         raise ValueError(f"unknown backend {backend!r}")
-
-    (w3, ab3, it3), (w4, ab4, it4) = solved
-    W, choice, F = _pick_case(z[None, :], lam, *_candidate(w3), *_candidate(w4))
-    return ProxResult(W[0], _CASE_TAGS[choice[0]], float(F[0]), (ab3, ab4), (it3, it4))
-
-
-def prox_full(z, lam) -> np.ndarray:
-    """2:4 prox of an arbitrary signed 4-vector.
-
-    Reduces to the sorted nonnegative problem, solves it, and maps the
-    result back; equivariant under signed permutations of the input.
-    """
-    z = np.asarray(z, dtype=np.float64).reshape(4)
-    zs, sp = pos_sort(z)
-    res = prox_enumerate(zs, lam)
-    return inv_pos_sort(res.w, sp)
+    return ProxResult(W[0], _CASE_TAGS[choice[0]], float(F[0]))
 
 
 def prox_cells(cells, lam) -> np.ndarray:
-    """Batched 2:4 prox over the rows of an (n, 4) array.
-
-    Equivalent to prox_full row by row, solving all cells in lockstep.
+    """2:4 prox of every row of an (n, 4) array of signed cells, solved in
+    lockstep; one cell is a one-row call. Equivariant under signed
+    permutations of a row. Raises ValueError unless cells is a finite (n, 4)
+    array and lam is finite and nonnegative.
     """
-    cells = np.asarray(cells, dtype=np.float64)
     Z, order, signs = pos_sort_cells(cells)
-    W3, valid3, *_ = _solve_case_rows(Z, lam, True)
-    W4, valid4, *_ = _solve_case_rows(Z, lam, False)
-    out, _, _ = _pick_case(Z, lam, W3, valid3, W4, valid4)
+    _check_lam(lam)
+    out, _, _ = _prox_sorted(Z, lam)
     return inv_pos_sort_cells(out, order, signs)
 
 
@@ -648,19 +627,17 @@ def kkt_check(w, z, lam, tol=1e-7) -> KktReport:
 # closed-form proxes for the simpler penalties
 
 
-def prox_simple(z, lam, kind) -> np.ndarray:
-    """Closed-form prox for the simpler 2:4 penalties on a sorted cell.
-
-    R0 counts nonzeros past the second (hard threshold), R1 sums them (soft
-    threshold), R2 sums their squares (shrinkage). The two leading
-    coordinates are never touched.
-    """
-    return prox_simple_cells(_check_sorted(z)[None, :], lam, kind)[0]
-
-
 def prox_simple_cells(cells, lam, kind) -> np.ndarray:
-    """Batched prox_simple over rows of an (n, 4) array with arbitrary signs."""
+    """Closed-form prox for the simpler 2:4 penalties on every row of an
+    (n, 4) array of signed cells.
+
+    R0 counts nonzeros past the second largest magnitude (hard threshold),
+    R1 sums them (soft threshold), R2 sums their squares (shrinkage). The
+    two largest-magnitude entries are never touched. Raises ValueError on
+    an unknown kind and on the bad cells or lam that prox_cells rejects.
+    """
     Z, order, signs = pos_sort_cells(cells)
+    _check_lam(lam)
     out = Z.copy()
     tail = Z[:, 2:]
     if kind == "R0":

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cells import inv_pos_sort, lambda_thresholds, pos_sort, prox_enumerate
+from .cells import inv_pos_sort_cells, lambda_thresholds, pos_sort_cells, prox_enumerate
 from .linalg import layer_loss
 from .pruner import LambdaSchedule, PruneConfig
 from .rng import SplitMix64
@@ -68,16 +68,16 @@ def reg_path_sweep(z, lam_grid):
     lam2_threshold = z3/(z1 z2) is the smallest penalty at which a 2-sparse
     solution can be critical.
     """
-    z = np.asarray(z, dtype=np.float64).reshape(4)
+    z = np.asarray(z, dtype=np.float64).reshape(1, 4)
     lam_grid = [float(v) for v in lam_grid]
     if len(lam_grid) < 2 or any(b <= a for a, b in zip(lam_grid, lam_grid[1:])):
         raise ValueError("lam_grid must be increasing with at least 2 points")
-    zs, sp = pos_sort(z)
-    lam2, _ = lambda_thresholds(zs)
+    Z, order, signs = pos_sort_cells(z)
+    lam2, _ = lambda_thresholds(Z[0])
     rows = []
     for lam in lam_grid:
-        res = prox_enumerate(zs, lam)
-        w = inv_pos_sort(res.w, sp)
+        res = prox_enumerate(Z[0], lam)
+        w = inv_pos_sort_cells(res.w[None, :], order, signs)[0]
         rows.append((lam, float(w[0]), float(w[1]), float(w[2]), float(w[3]), res.case_tag))
     return rows, lam2
 

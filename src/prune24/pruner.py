@@ -86,16 +86,24 @@ def mask_of(W: np.ndarray, eps: float = 0.0) -> np.ndarray:
     return (np.abs(W) > eps).astype(np.float64)
 
 
-def clamp_top2(W: np.ndarray) -> np.ndarray:
-    """Keep the 2 largest-magnitude entries of every cell, zero the rest.
+def keep_top2(values: np.ndarray) -> np.ndarray:
+    """Boolean mask keeping the 2 largest values of every aligned 4-cell.
 
-    Ties are broken stably: among equal magnitudes the lowest column index is
-    pruned first.
+    Ties are broken stably: among equal values the lowest column index is
+    dropped first.
     """
-    cells = _cells(np.asarray(W, dtype=np.float64)).copy()
-    order = np.argsort(np.abs(cells), axis=1, kind="stable")
-    np.put_along_axis(cells, order[:, :2], 0.0, axis=1)
-    return cells.reshape(W.shape)
+    values = np.asarray(values, dtype=np.float64)
+    order = np.argsort(_cells(values), axis=1, kind="stable")
+    keep = np.ones(order.shape, dtype=bool)
+    np.put_along_axis(keep, order[:, :2], False, axis=1)
+    return keep.reshape(values.shape)
+
+
+def clamp_top2(W: np.ndarray) -> np.ndarray:
+    """Keep the 2 largest-magnitude entries of every cell, zero the rest
+    (the ties of keep_top2)."""
+    W = np.asarray(W, dtype=np.float64)
+    return np.where(keep_top2(np.abs(W)), W, 0.0)
 
 
 def masked_gd(W, W_star, H, mask, steps, eta=None):

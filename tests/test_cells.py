@@ -7,16 +7,13 @@ from prune24.cells import (
     cell_objective,
     hessian_f,
     hessian_g,
-    inv_pos_sort,
     inv_pos_sort_cells,
     kkt_check,
     lambda_thresholds,
-    pos_sort,
     pos_sort_cells,
     prox_cells,
     prox_enumerate,
-    prox_full,
-    prox_simple,
+    prox_simple_cells,
     regularizer_rNM,
     solve_case_gd,
     solve_case_ipm,
@@ -67,31 +64,31 @@ def test_regularizer_zero_iff_sparse_enough(N, M):
 
 def test_pos_sort_example():
     z = np.array([-3.0, 1.0, 0.0, -2.0])
-    zs, sp = pos_sort(z)
-    assert np.array_equal(zs, [3.0, 2.0, 1.0, 0.0])
-    assert np.array_equal(inv_pos_sort(zs, sp), z)
+    Z, order, signs = pos_sort_cells(z[None, :])
+    assert np.array_equal(Z[0], [3.0, 2.0, 1.0, 0.0])
+    assert np.array_equal(inv_pos_sort_cells(Z, order, signs)[0], z)
 
 
 def test_pos_sort_identity_on_sorted_nonneg():
-    zs, sp = pos_sort(np.array([4.0, 3.0, 2.0, 1.0]))
-    assert np.array_equal(zs, [4.0, 3.0, 2.0, 1.0])
-    assert np.array_equal(sp.perm, [0, 1, 2, 3])
-    assert np.array_equal(sp.signs, [1.0, 1.0, 1.0, 1.0])
+    Z, order, signs = pos_sort_cells(np.array([[4.0, 3.0, 2.0, 1.0]]))
+    assert np.array_equal(Z[0], [4.0, 3.0, 2.0, 1.0])
+    assert np.array_equal(order[0], [0, 1, 2, 3])
+    assert np.array_equal(signs[0], [1.0, 1.0, 1.0, 1.0])
 
 
 def test_pos_sort_stable_ties():
-    zs, sp = pos_sort(np.array([1.1, -1.1, 0.0, 0.0]))
-    assert np.array_equal(zs, [1.1, 1.1, 0.0, 0.0])
-    assert list(sp.perm) == [0, 1, 2, 3]  # tie keeps original position order
+    Z, order, _ = pos_sort_cells(np.array([[1.1, -1.1, 0.0, 0.0]]))
+    assert np.array_equal(Z[0], [1.1, 1.1, 0.0, 0.0])
+    assert list(order[0]) == [0, 1, 2, 3]  # tie keeps original position order
 
 
 def test_pos_sort_roundtrip_random():
     rng = np.random.default_rng(4)
     for _ in range(100):
         z = rng.normal(size=4) * 10.0 ** rng.integers(-3, 3)
-        zs, sp = pos_sort(z)
-        assert np.all(np.diff(zs) <= 0) and zs[-1] >= 0
-        assert np.array_equal(inv_pos_sort(zs, sp), z)
+        Z, order, signs = pos_sort_cells(z[None, :])
+        assert np.all(np.diff(Z[0]) <= 0) and Z[0, -1] >= 0
+        assert np.array_equal(inv_pos_sort_cells(Z, order, signs)[0], z)
 
 
 # ---------------------------------------------------------------------------
@@ -444,25 +441,25 @@ def test_prox_cells_matches_the_fixed_step_kernel(monkeypatch, lam):
 
 
 # ---------------------------------------------------------------------------
-# full prox and equivariance
+# one-cell prox (one-row prox_cells calls), equivariance and bad input
 
 
 def test_prox_full_signed_example():
-    w = prox_full(np.array([-1.6, 0.5, -0.8, 1.1]), 1.0)
+    w = prox_cells(np.array([[-1.6, 0.5, -0.8, 1.1]]), 1.0)[0]
     assert np.allclose(w, [-1.6, 0.0, 0.0, 1.1], atol=1e-12)
 
 
 def test_prox_full_lambda_zero():
     z = np.array([0.3, -2.0, 1.0, -0.1])
-    assert np.allclose(prox_full(z, 0.0), z, atol=1e-9)
+    assert np.allclose(prox_cells(z[None, :], 0.0)[0], z, atol=1e-9)
 
 
 def test_prox_full_sign_flip_equivariance_single_coordinate():
     z = np.array([1.3, 0.7, -0.4, 0.2])
-    base = prox_full(z, 0.3)
+    base = prox_cells(z[None, :], 0.3)[0]
     z2 = z.copy()
     z2[1] = -z2[1]
-    flipped = prox_full(z2, 0.3)
+    flipped = prox_cells(z2[None, :], 0.3)[0]
     expect = base.copy()
     expect[1] = -expect[1]
     assert np.allclose(flipped, expect, atol=1e-12)
@@ -475,8 +472,8 @@ def test_prox_full_signed_permutation_equivariance():
         lam = rng.uniform(0.01, 2.0)
         perm = rng.permutation(4)
         signs = rng.choice([-1.0, 1.0], size=4)
-        base = prox_full(z, lam)
-        transformed = prox_full(signs * z[perm], lam)
+        base = prox_cells(z[None, :], lam)[0]
+        transformed = prox_cells((signs * z[perm])[None, :], lam)[0]
         assert np.allclose(transformed, signs * base[perm], atol=1e-12)
 
 
@@ -486,8 +483,34 @@ def test_prox_cells_matches_scalar_path():
     for lam in (0.05, 0.5, 3.0):
         batched = prox_cells(cells_mat, lam)
         for i in range(cells_mat.shape[0]):
-            scalar = prox_full(cells_mat[i], lam)
+            scalar = prox_cells(cells_mat[i:i + 1], lam)[0]
             assert np.allclose(batched[i], scalar, atol=1e-9), f"row {i} lam {lam}"
+
+
+_CELL = np.array([1.6, 1.1, 0.8, 0.5])
+
+
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda: prox_cells(_CELL[None, :], -1.0), "lam", id="prox_cells-lam-neg"),
+    pytest.param(lambda: prox_cells(_CELL[None, :], np.nan), "lam", id="prox_cells-lam-nan"),
+    pytest.param(lambda: prox_cells(_CELL[None, :], np.inf), "lam", id="prox_cells-lam-inf"),
+    pytest.param(lambda: prox_cells([[np.nan, 1.0, 0.0, 0.0]], 0.5), "finite",
+                 id="prox_cells-nan-cell"),
+    pytest.param(lambda: prox_cells(np.ones(3), 0.5), r"\(n, 4\)", id="prox_cells-shape-3"),
+    pytest.param(lambda: prox_simple_cells(np.ones((2, 3)), 0.5, "R1"), r"\(n, 4\)",
+                 id="prox_simple_cells-shape-2x3"),
+    pytest.param(lambda: prox_simple_cells(_CELL[None, :], np.nan, "R1"), "lam",
+                 id="prox_simple_cells-lam-nan"),
+    pytest.param(lambda: prox_enumerate(_CELL, np.nan), "lam", id="prox_enumerate-lam-nan"),
+    pytest.param(lambda: prox_enumerate([np.inf, 1.0, 0.0, 0.0], 0.5), "finite",
+                 id="prox_enumerate-inf-cell"),
+    pytest.param(lambda: solve_case_gd(_CELL, -1.0, "dense"), "lam", id="solve_case_gd-lam-neg"),
+    pytest.param(lambda: solve_case_ipm(_CELL, np.inf, "dense"), "lam",
+                 id="solve_case_ipm-lam-inf"),
+])
+def test_cell_entry_points_reject_bad_lam_and_cells(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
 
 
 # ---------------------------------------------------------------------------
@@ -532,22 +555,22 @@ def test_kkt_lambda_zero_identity():
 
 def test_prox_simple_closed_forms():
     z = np.array([1.6, 1.1, 0.8, 0.5])
-    assert np.allclose(prox_simple(z, 0.6, "R1"), [1.6, 1.1, 0.2, 0.0])
-    assert np.allclose(prox_simple(z, 0.4, "R0"), [1.6, 1.1, 0.0, 0.0])
-    assert np.allclose(prox_simple(z, 1.0, "R2"), [1.6, 1.1, 0.4, 0.25])
+    assert np.allclose(prox_simple_cells(z[None, :], 0.6, "R1")[0], [1.6, 1.1, 0.2, 0.0])
+    assert np.allclose(prox_simple_cells(z[None, :], 0.4, "R0")[0], [1.6, 1.1, 0.0, 0.0])
+    assert np.allclose(prox_simple_cells(z[None, :], 1.0, "R2")[0], [1.6, 1.1, 0.4, 0.25])
 
 
 def test_prox_simple_keeps_leading_pair():
     rng = np.random.default_rng(21)
     for kind in ("R0", "R1", "R2"):
         z = sorted_abs(rng)
-        out = prox_simple(z, 0.7, kind)
+        out = prox_simple_cells(z[None, :], 0.7, kind)[0]
         assert out[0] == z[0] and out[1] == z[1]
 
 
 def test_prox_simple_unknown_kind():
     with pytest.raises(ValueError):
-        prox_simple(np.array([1.0, 0.5, 0.2, 0.1]), 0.5, "R9")
+        prox_simple_cells(np.array([[1.0, 0.5, 0.2, 0.1]]), 0.5, "R9")
 
 
 # ---------------------------------------------------------------------------

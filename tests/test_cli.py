@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 import prune24
-from prune24.cli import METHODS, main
-from prune24.harness import run_benchmark
+from prune24 import cli
+from prune24.cli import METHODS, main, run_method
+from prune24.harness import SyntheticSpec, gen_synthetic, run_benchmark
 from prune24.linalg import layer_loss
 from prune24.matio import load_matrix, save_matrix
-from prune24.pruner import PruneConfig, is_24_sparse
+from prune24.pruner import LambdaSchedule, PruneConfig, clamp_top2, is_24_sparse, mask_of
 
 from bad_inputs import bad_problem, indefinite_problem
 
@@ -39,6 +40,31 @@ def test_prune_all_methods(tmp_path, instance, method):
     assert is_24_sparse(W, eps=0.0)
     assert set(np.unique(M)) <= {0.0, 1.0}
     assert np.array_equal((np.abs(W) > 0).astype(float), M)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_every_method_leaves_a_24_sparse_input_unchanged(method):
+    _, H = gen_synthetic(SyntheticSpec(d=16, alpha=0.5, seed=5))
+    W_star = clamp_top2(np.random.default_rng(5).normal(size=(3, 16)))
+    W_star[1, 4:8] = [0.0, 0.0, -0.7, 0.0]  # a cell with a single nonzero
+    W, mask, iters = run_method(method, W_star, H, LambdaSchedule(), PruneConfig())
+    assert np.abs(W - W_star).max() <= 4 * np.spacing(np.abs(W_star).max())
+    assert layer_loss(W, W_star, H) <= 1e-25
+    if method in ("prox", "l0", "l1", "l2"):
+        assert iters == 0
+    if method.startswith("wanda"):
+        # wanda keeps 2 entries per cell by design, zero or not
+        assert np.all(mask.reshape(-1, 4).sum(axis=1) == 2)
+        assert np.all(mask[W_star != 0.0] == 1.0)
+    else:
+        assert np.array_equal(mask, mask_of(W_star))
+
+
+def test_every_export_resolves():
+    # METHODS and run_method come through the package's lazy __getattr__
+    for name in prune24.__all__:
+        assert getattr(prune24, name) is not None, name
+    assert prune24.METHODS is cli.METHODS and prune24.run_method is cli.run_method
 
 
 @pytest.mark.parametrize("method", METHODS)

@@ -146,6 +146,21 @@ def test_prune_prox_already_sparse_short_circuits():
     assert report.loss_trace  # nonempty even without any iterations
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_prune_prox_is_row_separable(seed):
+    # the loss separates by rows and the fixed schedule does not read W*
+    # (the adaptive one reads mean |W*| over the whole matrix), so each row
+    # pruned alone gets the joint run's mask
+    _, H = gen_synthetic(SyntheticSpec(d=64, alpha=0.5, seed=seed))
+    W_star = np.random.default_rng(seed).normal(size=(6, 64))
+    W, mask, _ = prune_prox(W_star, H)
+    rows = [prune_prox(W_star[i:i + 1], H) for i in range(W_star.shape[0])]
+    assert np.array_equal(np.vstack([m for _, m, _ in rows]), mask)
+    joint = layer_loss(W, W_star, H)
+    alone = layer_loss(np.vstack([w for w, _, _ in rows]), W_star, H)
+    assert abs(alone - joint) <= 1e-9 * joint
+
+
 def test_prune_prox_diagonal_matches_exhaustive_optimum():
     rng = np.random.default_rng(32)
     for seed in range(3):
