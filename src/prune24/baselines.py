@@ -80,7 +80,7 @@ def sparsegpt_prune(W_star: np.ndarray, H: np.ndarray, damp: float = None):
         S = U[b : b + 4, b:]
         Hinv_q = S.T @ S[:, :4]  # first 4 columns of inv(Hd[b:, b:])
         scores = W[:, b : b + 4] ** 2 / np.diag(Hinv_q)[None, :]
-        q = np.sort(np.argsort(scores, axis=1, kind="stable")[:, :2], axis=1)
+        q = np.nonzero(~keep_top2(scores))[1].reshape(rows, 2)  # pruned pair, ascending
         # exact compensation for jointly zeroing each row's pair
         coef = np.linalg.solve(Hinv_q[q[:, :, None], q[:, None, :]], W[r, b + q][..., None])
         C = np.zeros((rows, 4))

@@ -17,15 +17,18 @@ pipeline's solver.
 The case logic lives in two batched functions over n sorted cells:
 ``_solve_case_rows`` (projected GD, Newton polish of stalled rows, the
 second-order check, the interior-point verdict where the polish fails, and
-the positivity test for one case) and ``_pick_case``
-(per row, the best of [z1, z2, 0, 0] and the valid 3-sparse and dense
-candidates, ties going to the sparser case). ``_prox_sorted`` runs both on
-sorted cells, and is the only prox body: ``prox_cells`` (the pipeline's
+the positivity test) and ``_pick_case`` (per row, the best of
+[z1, z2, 0, 0] and the valid 3-sparse and dense candidates, ties going to
+the sparser case). A row's case is per-row data: a boolean pin of its last
+coordinate at zero selects the 3-sparse case. ``_prox_sorted``, the only
+prox body, runs both in one pass over the sorted cells stacked twice, one
+copy pinned: ``prox_cells`` (the pipeline's
 prox, on signed cells; one cell is a one-row call) reduces to it through
 ``pos_sort_cells`` and ``inv_pos_sort_cells``, and ``prox_enumerate``
 calls it on one sorted cell. ``solve_case_gd`` is the case solve on one
 cell. Every entry point raises ValueError unless lam is finite and
-nonnegative and the cells are finite.
+nonnegative and the cells are finite, and a lam up to the largest finite
+float raises no numpy overflow or invalid-value warning.
 
 An interior-point solver with a log-det barrier on the objective's Hessian
 (``solve_case_ipm``) is the cell-level cross-check of the gradient solver,
@@ -144,24 +147,23 @@ def hessian_g(w: np.ndarray, lam: float) -> np.ndarray:
     return H
 
 
-def _case_hessian(w, lam, pinned):
-    # Hessian of the active case; the 3-sparse case reads only the first 3
-    # coordinates, so w may be a 4-vector with its last coordinate pinned
-    # to zero or the 3 free coordinates alone.
-    if pinned:
-        return hessian_g(w[:3], lam)
-    return hessian_f(w, lam)
+def _case_hessian(w, lam, dim):
+    # Hessian of the case with dim free coordinates; the 3-sparse case reads
+    # only the first 3, so w may be a 4-vector with its last coordinate
+    # pinned to zero or the 3 free coordinates alone.
+    return hessian_g(w[:3], lam) if dim == 3 else hessian_f(w, lam)
 
 
 # ---------------------------------------------------------------------------
 # projected gradient solver (batched over cells)
 
 
-def _gd_solve_batched(Z, lam, pinned, max_iter, trajectory=None):
+def _gd_solve_batched(Z, lam, pinned, trajectory=None):
     """Projected GD from the origin on the (n, 4) sorted cells Z.
 
-    pinned=True solves the 3-sparse case by fixing the last coordinate at
-    zero (the free coordinates then see exactly the 3-variable objective).
+    A row whose pin (a boolean per row) is set solves the 3-sparse case by
+    fixing its last coordinate at zero (the free coordinates then see
+    exactly the 3-variable objective); the other rows solve the dense case.
     Each cell steps at eta = 1/min(4, 1 + 3 lam (z1 + z2)): for w >= 0 and
     eta <= 1, g_i >= w_i - z_i, so the iterates stay in the box [0, z], and
     there Gershgorin bounds the spectrum of either case Hessian by
@@ -180,13 +182,12 @@ def _gd_solve_batched(Z, lam, pinned, max_iter, trajectory=None):
 
     # The live cells are the columns of (4, m) arrays, so every per-cell sum
     # over the 4 coordinates is elementwise arithmetic on rows. A finished
-    # cell is written out by index and frozen (eta 0, a negative step
-    # tolerance); the arrays shrink to the live cells once half are finished.
+    # cell is written out by index and frozen at the origin (eta 0, a
+    # negative step tolerance); the arrays shrink to the live cells at half.
     idx = np.arange(n)
+    pin = np.asarray(pinned, dtype=bool)
     Zl = Z.T.copy()
     W = np.zeros_like(Zl)
-    eta = 1.0 / (1.0 + 3.0 * np.minimum(lam * (Zl[0] + Zl[1]), 1.0))
-    step_tol = DEFAULT_TOL * np.maximum(1.0, Zl[0]) * eta
     gcap = np.full(n, np.inf)  # a squared gradient norm above this aborts
     live = n
 
@@ -195,6 +196,7 @@ def _gd_solve_batched(Z, lam, pinned, max_iter, trajectory=None):
         W_out[out] = W[:, done].T
         flag[out] = True
         iters[out] = steps
+        W[:, done] = 0.0  # a frozen cell's gradient is then -z, never inf
         eta[done] = 0.0
         step_tol[done] = -1.0
         gcap[done] = np.inf  # a frozen cell must not abort on its next gradient
@@ -204,42 +206,48 @@ def _gd_solve_batched(Z, lam, pinned, max_iter, trajectory=None):
     if tracking:
         trajectory.append(W[:, 0].copy())
     k = 0
-    while live and k < max_iter:
-        k += 1
-        # g_i = w_i - z_i + lam * e2(the other three coordinates); for w1
-        # that is w2 (w3 + w4) + w3 w4, and likewise within the pairs (1, 2)
-        # and (3, 4)
-        P = W.reshape(2, 2, -1)
-        sums = P[:, 0] + P[:, 1]
-        prods = P[:, 0] * P[:, 1]
-        G = (P[:, ::-1] * sums[::-1, None] + prods[::-1, None]).reshape(4, -1)
-        G *= lam
-        G += W
-        G -= Zl
-        if pinned:
-            G[3] = 0.0
-        gn2 = np.einsum("ij,ij->j", G, G)
+    # Near the largest float lam the penalty terms overflow to inf: an
+    # infinite gradient norm aborts its cell, and the cell then sits at the
+    # origin, so no inf meets a zero eta.
+    with np.errstate(over="ignore"):
+        eta = 1.0 / (1.0 + 3.0 * np.minimum(lam * (Zl[0] + Zl[1]), 1.0))
+        step_tol = DEFAULT_TOL * np.maximum(1.0, Zl[0]) * eta
+        while live and k < DEFAULT_MAX_ITER:
+            k += 1
+            # g_i = w_i - z_i + lam * e2(the other three coordinates); for w1
+            # that is w2 (w3 + w4) + w3 w4, and likewise within the pairs
+            # (1, 2) and (3, 4)
+            P = W.reshape(2, 2, -1)
+            sums = P[:, 0] + P[:, 1]
+            prods = P[:, 0] * P[:, 1]
+            G = (P[:, ::-1] * sums[::-1, None] + prods[::-1, None]).reshape(4, -1)
+            G *= lam
+            G += W
+            G -= Zl
+            G[3, pin] = 0.0
+            gn2 = np.einsum("ij,ij->j", G, G)
 
-        abort = gn2 > gcap
-        gcap = gn2 * _ABORT_GUARD2
-        if abort.any():  # these cells keep the iterate whose gradient grew
-            live -= finish(abort, aborted, k - 1)
+            abort = gn2 > gcap
+            gcap = gn2 * _ABORT_GUARD2
+            if abort.any():  # these cells keep the iterate whose gradient grew
+                live -= finish(abort, aborted, k - 1)
+                G[:, abort] = 0.0  # now at the origin: no 0 * inf step below
 
-        Wn = W - eta * G
-        np.maximum(Wn, 0.0, out=Wn)
-        conv = np.abs(Wn - W).max(axis=0) <= step_tol
-        if tracking:
-            tracking = not (abort[0] or conv[0])
-            if not abort[0]:
-                trajectory.append(Wn[:, 0].copy())
-        W = Wn
-        if conv.any():
-            live -= finish(conv, converged, k)
+            Wn = W - eta * G
+            np.maximum(Wn, 0.0, out=Wn)
+            conv = np.abs(Wn - W).max(axis=0) <= step_tol
+            if tracking:
+                tracking = not (abort[0] or conv[0])
+                if not abort[0]:
+                    trajectory.append(Wn[:, 0].copy())
+            W = Wn
+            if conv.any():
+                live -= finish(conv, converged, k)
 
-        if 0 < 2 * live <= W.shape[1]:
-            keep = step_tol >= 0.0
-            idx, W, Zl = idx[keep], W[:, keep], Zl[:, keep]
-            eta, step_tol, gcap = eta[keep], step_tol[keep], gcap[keep]
+            if 0 < 2 * live <= W.shape[1]:
+                keep = step_tol >= 0.0
+                idx, pin, W, Zl = idx[keep], pin[keep], W[:, keep], Zl[:, keep]
+                eta, step_tol, gcap = eta[keep], step_tol[keep], gcap[keep]
 
     if live:
         finish(step_tol >= 0.0, stalled, k)
@@ -255,19 +263,18 @@ def _newton_polish(w, z, lam, pinned, tol_eff, max_iter=40):
     """
     w = np.array(w, dtype=np.float64)
     z = np.asarray(z, dtype=np.float64)
-    dim = 3 if pinned else 4
+    dim = 4 - int(pinned)  # the free coordinates
 
     def residual(wv):
         g = _grad_rows(wv, z, lam)
-        if pinned:
-            g[3] = 0.0
+        g[dim:] = 0.0
         return np.abs(wv - np.maximum(wv - _ETA * g, 0.0)).max() / _ETA, g
 
     res, g = residual(w)
     for _ in range(max_iter):
         if res <= tol_eff:
             return w, True
-        A = _case_hessian(w, lam, pinned)
+        A = _case_hessian(w, lam, dim)
         try:
             d = np.linalg.solve(A + 1e-14 * np.eye(dim), -g[:dim])
         except np.linalg.LinAlgError:
@@ -292,38 +299,37 @@ def _newton_polish(w, z, lam, pinned, tol_eff, max_iter=40):
 def _second_order_ok(w, lam, pinned, tol=1e-9):
     """Newton-polished points must sit in the PSD region of the case Hessian;
     otherwise the polish found a saddle rather than a case minimum."""
-    return bool(np.linalg.eigvalsh(_case_hessian(w, lam, pinned))[0] >= -tol)
+    return bool(np.linalg.eigvalsh(_case_hessian(w, lam, 4 - int(pinned)))[0] >= -tol)
 
 
-def _solve_case_rows(Z, lam, pinned, max_iter=DEFAULT_MAX_ITER, trajectory=None):
-    """Solve one prox case on every row of an (n, 4) array of sorted cells.
+def _solve_case_rows(Z, lam, pinned, trajectory=None):
+    """Solve a prox case on every row of an (n, 4) array of sorted cells:
+    the 3-sparse case where the row's pin is set, the dense case elsewhere.
 
     Projected GD, then a Newton polish and second-order check on stalled
     rows; a stalled row whose polish fails takes the interior-point solver's
-    verdict. A row is valid when the case's free coordinates end up strictly
-    positive. Returns (W, valid, aborted, iters).
+    verdict. A row is valid when its case's free coordinates end up strictly
+    positive; an invalid row's weights are zeroed. Returns (W, valid,
+    aborted, iters).
     """
-    W, conv, aborted, stalled, iters = _gd_solve_batched(
-        Z, lam, pinned, max_iter, trajectory=trajectory
-    )
+    W, conv, aborted, stalled, iters = _gd_solve_batched(Z, lam, pinned, trajectory)
     for idx in np.flatnonzero(stalled):
+        pin = pinned[idx]
         tol_eff = DEFAULT_TOL * max(1.0, Z[idx, 0])
-        W[idx], ok = _newton_polish(W[idx], Z[idx], lam, pinned, tol_eff)
+        W[idx], ok = _newton_polish(W[idx], Z[idx], lam, pin, tol_eff)
         if ok:
-            conv[idx] = _second_order_ok(W[idx], lam, pinned)
+            conv[idx] = _second_order_ok(W[idx], lam, pin)
             continue
         # the polish can reject a step that does reach the optimum (its
         # objective test is blind below a few ulps), so this row's GD
         # iterate proves nothing either way
-        w, _, _ = solve_case_ipm(Z[idx], lam, "three_sparse" if pinned else "dense")
+        w, _, _ = solve_case_ipm(Z[idx], lam, "three_sparse" if pin else "dense")
         conv[idx] = w is not None
         if w is not None:
             W[idx] = w
-    if pinned:
-        W[:, 3] = 0.0
     thr = _POS_RTOL * np.maximum(1.0, Z[:, 0])
-    need_pos = W[:, :3] if pinned else W
-    valid = conv & np.all(need_pos > thr[:, None], axis=1)
+    valid = conv & np.all(W[:, :3] > thr[:, None], axis=1) & (pinned | (W[:, 3] > thr))
+    W[~valid] = 0.0  # lam times an invalid iterate's penalty can overflow
     return W, valid, aborted, iters
 
 
@@ -334,7 +340,7 @@ def _check_sorted(z):
     return z
 
 
-def solve_case_gd(z, lam, case, max_iter=DEFAULT_MAX_ITER, trajectory=None):
+def solve_case_gd(z, lam, case, trajectory=None):
     """Solve one prox case by projected gradient descent.
 
     Returns (w, aborted, iterations) where w is None when the case is ruled
@@ -347,7 +353,7 @@ def solve_case_gd(z, lam, case, max_iter=DEFAULT_MAX_ITER, trajectory=None):
     if case not in ("dense", "three_sparse"):
         raise ValueError(f"unknown case {case!r}")
     W, valid, aborted, iters = _solve_case_rows(
-        z[None, :], lam, case == "three_sparse", max_iter, trajectory=trajectory
+        z[None, :], lam, np.array([case == "three_sparse"]), trajectory
     )
     return (W[0] if valid[0] else None), bool(aborted[0]), int(iters[0])
 
@@ -388,7 +394,7 @@ def _chol_ok(A):
 
 
 def _barrier_value(w, lam, dim):
-    A = _case_hessian(w, lam, dim == 3)
+    A = _case_hessian(w, lam, dim)
     sign, logdet = np.linalg.slogdet(A)
     if sign <= 0 or np.any(w <= 0.0):
         return np.inf
@@ -396,7 +402,7 @@ def _barrier_value(w, lam, dim):
 
 
 def _barrier_grad_hess(w, lam, dim):
-    A = _case_hessian(w, lam, dim == 3)
+    A = _case_hessian(w, lam, dim)
     Ainv = np.linalg.inv(A)
     Cs = _C3 if dim == 3 else _C4
     M = [Ainv @ C for C in Cs]
@@ -425,11 +431,11 @@ def solve_case_ipm(z, lam, case):
     dim = 3 if case == "three_sparse" else 4
 
     w = np.minimum(z[:dim], 0.1)
-    if np.any(w <= 0.0) or not _chol_ok(_case_hessian(w, lam, dim == 3)):
+    if np.any(w <= 0.0) or not _chol_ok(_case_hessian(w, lam, dim)):
         eps = 1e-3
         for _ in range(200):
             w = np.full(dim, eps)
-            if _chol_ok(_case_hessian(w, lam, dim == 3)):
+            if _chol_ok(_case_hessian(w, lam, dim)):
                 break
             eps *= 0.5
         else:
@@ -443,7 +449,7 @@ def solve_case_ipm(z, lam, case):
             g_f = _grad_rows(w, z[:dim], lam)
             g_b, h_b = _barrier_grad_hess(w, lam, dim)
             grad = t * g_f + g_b
-            hess = t * _case_hessian(w, lam, dim == 3) + h_b
+            hess = t * _case_hessian(w, lam, dim) + h_b
             try:
                 d = np.linalg.solve(hess, -grad)
             except np.linalg.LinAlgError:
@@ -522,11 +528,12 @@ def _pick_case(Z, lam, W3, valid3, W4, valid4):
 
 def _prox_sorted(Z, lam):
     """The prox of every row of the (n, 4) sorted nonnegative cells Z: both
-    convex cases by projected GD, then the case pick. Returns _pick_case's
-    (W, choice, objective)."""
-    W3, valid3, *_ = _solve_case_rows(Z, lam, True)
-    W4, valid4, *_ = _solve_case_rows(Z, lam, False)
-    return _pick_case(Z, lam, W3, valid3, W4, valid4)
+    convex cases in one projected-GD batch (the 3-sparse case on the first
+    n rows, the dense case on the last n), then the case pick. Returns
+    _pick_case's (W, choice, objective)."""
+    n = Z.shape[0]
+    W, valid, *_ = _solve_case_rows(np.vstack([Z, Z]), lam, np.arange(2 * n) < n)
+    return _pick_case(Z, lam, W[:n], valid[:n], W[n:], valid[n:])
 
 
 def prox_enumerate(z, lam, backend="gd") -> ProxResult:

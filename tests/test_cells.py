@@ -1,3 +1,6 @@
+import sys
+import warnings
+
 import numpy as np
 import pytest
 
@@ -18,7 +21,9 @@ from prune24.cells import (
     solve_case_gd,
     solve_case_ipm,
 )
+from prune24.harness import SyntheticSpec, gen_synthetic
 from prune24.linalg import is_psd
+from prune24.pruner import LambdaSchedule, clamp_top2, is_24_sparse, prune_prox
 
 
 def sorted_abs(rng, scale=1.0):
@@ -209,18 +214,13 @@ def test_failed_polish_takes_the_ipm_verdict(monkeypatch, z, lam):
     w_ipm, _, _ = solve_case_ipm(z, lam, case)
 
     failed = _fail_first_polish(monkeypatch, pinned)
-    w, aborted, iters = solve_case_gd(z, lam, case, max_iter=3)
+    monkeypatch.setattr(cells, "DEFAULT_MAX_ITER", 3)
+    w, aborted, iters = solve_case_gd(z, lam, case)
     assert failed and not aborted and iters == 3
     assert np.array_equal(w, w_ipm)
 
-    # GD cut short on the optimal case, so that it stalls
+    # GD cut short on the whole batch, so that the optimal case stalls
     failed.clear()
-    kernel = cells._gd_solve_batched
-    monkeypatch.setattr(
-        cells, "_gd_solve_batched",
-        lambda Z, lam_, p, max_iter, trajectory=None:
-            kernel(Z, lam_, p, 3 if p == pinned else max_iter, trajectory),
-    )
     assert np.allclose(prox_cells(z[None, :], lam)[0], expect.w, atol=1e-9)
     assert failed
 
@@ -392,7 +392,7 @@ def test_gd_step_bound_holds_on_the_box():
                 assert all(np.all(v >= 0.0) and np.all(v <= z) for v in traj)
 
 
-def _gd_solve_reference(Z, lam, pinned, max_iter, trajectory=None):
+def _gd_solve_reference(Z, lam, pinned, trajectory=None):
     """The fixed-step kernel: projected GD at step 1/4 on an (n, 4) array,
     every row stepping until all have finished. Same contract as
     cells._gd_solve_batched."""
@@ -406,10 +406,9 @@ def _gd_solve_reference(Z, lam, pinned, max_iter, trajectory=None):
     aborted = np.zeros(n, dtype=bool)
     iters = np.zeros(n, dtype=np.int64)
     gprev = np.full(n, np.inf)
-    for _ in range(max_iter):
+    for _ in range(cells.DEFAULT_MAX_ITER):
         G = cells._grad_rows(W, Z, lam)
-        if pinned:
-            G[:, 3] = 0.0
+        G[pinned, 3] = 0.0
         gnorm = np.linalg.norm(G, axis=1)
         abort_now = active & (gnorm > gprev * guard)
         aborted |= abort_now
@@ -475,6 +474,65 @@ def test_prox_full_signed_permutation_equivariance():
         base = prox_cells(z[None, :], lam)[0]
         transformed = prox_cells((signs * z[perm])[None, :], lam)[0]
         assert np.allclose(transformed, signs * base[perm], atol=1e-12)
+
+
+def test_one_kernel_pass_per_prox(monkeypatch):
+    # both convex cases of every cell are solved in one projected-GD batch
+    kernel, batches = cells._gd_solve_batched, []
+
+    def counting(Z, lam, pinned, trajectory=None):
+        batches.append((Z.shape[0], int(np.count_nonzero(pinned))))
+        return kernel(Z, lam, pinned, trajectory)
+
+    monkeypatch.setattr(cells, "_gd_solve_batched", counting)
+    prox_cells(np.random.default_rng(26).normal(size=(50, 4)), 0.3)
+    assert batches == [(100, 50)]
+    batches.clear()
+    prox_enumerate(np.array([1.6, 1.1, 0.8, 0.5]), 0.3)
+    assert batches == [(2, 1)]
+
+
+@pytest.mark.parametrize("lam", [0.1, 0.3, 1.0])
+def test_stalled_rows_in_a_mixed_batch_use_their_own_case(monkeypatch, lam):
+    # capped at 3 GD iterations, most rows stall in both cases; each stalled
+    # row's polish, second-order check and IPM verdict must read its own pin,
+    # so every row matches the one-case solves picked cell by cell
+    monkeypatch.setattr(cells, "DEFAULT_MAX_ITER", 3)
+    polish, polished = cells._newton_polish, set()
+
+    def recording(w, z, lam_, pinned, *args, **kwargs):
+        polished.add(bool(pinned))
+        return polish(w, z, lam_, pinned, *args, **kwargs)
+
+    monkeypatch.setattr(cells, "_newton_polish", recording)
+    cells_mat = np.random.default_rng(28).normal(size=(64, 4))
+    Z, order, signs = pos_sort_cells(cells_mat)
+    best = np.empty_like(Z)
+    for i, z in enumerate(Z):
+        cands = [np.array([z[0], z[1], 0.0, 0.0])]  # sparsest first: ties go to it
+        for case in ("three_sparse", "dense"):
+            w, _, _ = solve_case_gd(z, lam, case)
+            if w is not None:
+                cands.append(w)
+        best[i] = min(cands, key=lambda w: cell_objective(w, z, lam))
+    polished.clear()
+    assert np.array_equal(prox_cells(cells_mat, lam), inv_pos_sort_cells(best, order, signs))
+    assert polished == {False, True}
+
+
+def test_prox_cells_at_the_penalty_cap_is_clamp_top2_without_warnings():
+    # schedule_lambda caps the penalty at the largest float; there every cell
+    # is 2-sparse, and no overflow or NaN may surface
+    cells_mat = np.vstack([np.random.default_rng(27).normal(size=(200, 4)), np.zeros((1, 4))])
+    with np.errstate(over="raise", invalid="raise"):
+        out = prox_cells(cells_mat, sys.float_info.max)
+    assert np.array_equal(out, clamp_top2(cells_mat))
+
+    W_star, H = gen_synthetic(SyntheticSpec(d=16, alpha=0.5, seed=0))
+    with warnings.catch_warnings(), np.errstate(all="warn"):
+        warnings.simplefilter("error")
+        W, _, _ = prune_prox(10 * W_star, H, LambdaSchedule(lambda0=1e308, beta=2))
+    assert is_24_sparse(W)
 
 
 def test_prox_cells_matches_scalar_path():

@@ -161,6 +161,26 @@ def test_prune_prox_is_row_separable(seed):
     assert abs(alone - joint) <= 1e-9 * joint
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_prune_prox_is_signed_permutation_equivariant(seed):
+    # permuting the cells, permuting within each cell and flipping column
+    # signs, with H transformed to match, permutes the mask and keeps the
+    # iteration count and the loss
+    _, H = gen_synthetic(SyntheticSpec(d=32, alpha=0.5, seed=seed))
+    rng = np.random.default_rng(seed)
+    W_star = rng.normal(size=(4, 32))
+    P = np.concatenate([4 * c + rng.permutation(4) for c in rng.permutation(8)])
+    S = rng.choice([-1.0, 1.0], size=32)
+    W_p = (W_star * S)[:, P]
+    H_p = (S[:, None] * H * S[None, :])[np.ix_(P, P)]
+    W, mask, report = prune_prox(W_star, H)
+    W_q, mask_q, report_q = prune_prox(W_p, H_p)
+    assert np.array_equal(mask_q, mask[:, P])
+    assert report_q.iterations == report.iterations
+    loss = layer_loss(W, W_star, H)
+    assert abs(layer_loss(W_q, W_p, H_p) - loss) <= 1e-9 * loss
+
+
 def test_prune_prox_diagonal_matches_exhaustive_optimum():
     rng = np.random.default_rng(32)
     for seed in range(3):
