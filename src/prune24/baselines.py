@@ -37,7 +37,14 @@ def wanda_prune(W_star: np.ndarray, H: np.ndarray):
     return W_star * mask, mask
 
 
-def sparsegpt_prune(W_star: np.ndarray, H: np.ndarray, damp: float = None):
+# Damping of the hessian, relative to mean(diag(H)): enough to factor a
+# singular PSD hessian, small enough that it never perturbs the selection (a
+# visible damp inflates the scores of weak channels and can flip selections
+# even on diagonal hessians, where sparsegpt_prune must match score pruning)
+_DAMP_REL = 1e-8
+
+
+def sparsegpt_prune(W_star: np.ndarray, H: np.ndarray):
     """OBS-style block pruner.
 
     Processes 4-column blocks left to right. Within a block, each row prunes
@@ -51,20 +58,15 @@ def sparsegpt_prune(W_star: np.ndarray, H: np.ndarray, damp: float = None):
     only the 4 rows U[b:b+4, b:]. Inverting Hd before factoring it would
     fail on rank-deficient hessians that this order handles.
 
-    Damping defaults to 1e-8 * mean(diag(H)): enough to factor a singular
-    PSD hessian, small enough that it never perturbs the selection (a
-    visible damp inflates the scores of weak channels and can flip
-    selections even on diagonal hessians, where this pruner must match
-    score pruning). Raises ValueError when the damped hessian is not
-    positive definite, and on the input errors of check_problem.
+    The damping is _DAMP_REL * mean(diag(H)). Raises ValueError when the
+    damped hessian is not positive definite, and on the input errors of
+    check_problem.
     """
     W_star, H = check_problem(W_star, H)
     W = W_star.copy()
     rows, d = W.shape
-    if damp is None:
-        damp = 1e-8 * float(np.mean(np.diag(H)))
     Hd = H[::-1, ::-1].copy()
-    Hd.flat[:: d + 1] += damp
+    Hd.flat[:: d + 1] += _DAMP_REL * float(np.mean(np.diag(H)))
     try:
         L = np.linalg.cholesky(Hd)
     except np.linalg.LinAlgError as exc:

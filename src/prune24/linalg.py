@@ -41,38 +41,26 @@ def loss_gradient(W: np.ndarray, W_star: np.ndarray, H: np.ndarray) -> np.ndarra
     return 2.0 * ((W - W_star) @ H)
 
 
-def max_eigenvalue(H: np.ndarray, tol: float = 1e-6, max_iter: int = 2000) -> float:
-    """Largest eigenvalue of a symmetric PSD matrix.
+# smallest eigenvalue allowed, relative to minus the largest one: roundoff
+# makes the zero eigenvalues of a singular PSD matrix slightly negative
+_PSD_RTOL = 1e-10
 
-    Power iteration from the normalized all-ones vector (basis vectors as
-    fallback probes if that start lies in the null space), accepted once the
-    residual ||Hv - gamma v|| <= tol * gamma certifies the value. A nearly
-    degenerate leading pair can make the vector converge arbitrarily slowly,
-    so if certification is not reached within max_iter the value comes from
-    a dense symmetric eigendecomposition instead. Deterministic either way.
+
+def max_eigenvalue(H: np.ndarray) -> float:
+    """Largest eigenvalue of a symmetric PSD matrix, from one dense
+    symmetric eigendecomposition, whose smallest eigenvalue also certifies H.
+
+    Raises ValueError when H is empty, and when its smallest eigenvalue is
+    below -_PSD_RTOL times its largest, so H is indefinite.
     """
     H = np.asarray(H, dtype=np.float64)
-    n = H.shape[0]
-    v = np.ones(n) / np.sqrt(n)
-    for k in range(n + 1):
-        hv = H @ v
-        norm = np.linalg.norm(hv)
-        if norm > 0.0:
-            break
-        if k == n:  # H maps every probe to zero
-            return 0.0
-        v = np.zeros(n)
-        v[k] = 1.0
-    for _ in range(max_iter):
-        v = hv / norm
-        hv = H @ v
-        gamma = float(v @ hv)
-        if np.linalg.norm(hv - gamma * v) <= tol * max(abs(gamma), 1e-300):
-            return gamma
-        norm = np.linalg.norm(hv)
-        if norm == 0.0:
-            return 0.0
-    return float(np.linalg.eigvalsh(H)[-1])
+    if H.size == 0:
+        raise ValueError("hessian is empty")
+    eigs = np.linalg.eigvalsh(H)
+    if eigs[0] < -_PSD_RTOL * eigs[-1]:
+        raise ValueError(f"hessian is indefinite: its smallest eigenvalue is "
+                         f"{eigs[0]:.3g}, its largest {eigs[-1]:.3g}")
+    return float(eigs[-1])
 
 
 def is_psd(M: np.ndarray, tol: float = 1e-9) -> bool:

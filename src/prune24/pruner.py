@@ -112,7 +112,9 @@ def masked_gd(W, W_star, H, mask, steps, eta=None):
     Masked-out entries stay exactly zero; with the default step
     1/(2*gamma_max(H)) the loss is non-increasing. Raises the ValueErrors of
     check_problem, and ValueError when W or mask is not shaped like W* or
-    steps is negative.
+    steps is negative. The default step comes from max_eigenvalue, so it
+    also raises its ValueError on an indefinite H; an explicit eta skips
+    that check.
     """
     W_star, H = check_problem(W_star, H)
     if np.shape(W) != W_star.shape or np.shape(mask) != W_star.shape:
@@ -140,8 +142,8 @@ def check_problem(W_star, H):
     """Return (W*, H) as float64 arrays after checking them.
 
     Raises ValueError unless W* is a matrix whose column count d is a
-    multiple of 4, H is (d, d), neither holds a NaN or infinite entry, H is
-    symmetric (to _SYM_RTOL) and its diagonal is nonnegative.
+    positive multiple of 4, H is (d, d), neither holds a NaN or infinite
+    entry, H is symmetric (to _SYM_RTOL) and its diagonal is nonnegative.
     """
     W_star = np.asarray(W_star, dtype=np.float64)
     H = np.asarray(H, dtype=np.float64)
@@ -149,6 +151,8 @@ def check_problem(W_star, H):
         raise ValueError(f"W* must be a matrix, got shape {W_star.shape}")
     _cells(W_star)
     d = W_star.shape[1]
+    if d == 0:
+        raise ValueError("W* has no columns")
     if H.shape != (d, d):
         raise ValueError(f"hessian shape {H.shape} does not match {d} columns")
     # min and max propagate NaN and need no temporary the size of H
@@ -180,29 +184,13 @@ def _check_schedule(sched, cfg):
                          f"got {cfg.max_iter} and {cfg.gd_steps}")
 
 
-# A PSD H gives a nonnegative loss, and once rescaled to a unit diagonal its
-# entries are at most 1 in magnitude, so the roundoff of a computed loss
-# stays far below this times d ||W - W*||^2.
-_LOSS_RTOL = 1e-10
-
-
-def _traced_loss(W, W_t, H_t, k):
-    """layer_loss(W, W_t, H_t); raises ValueError when it is negative beyond
-    roundoff, which proves H indefinite."""
-    loss = layer_loss(W, W_t, H_t)
-    if loss < 0.0 and -loss > _LOSS_RTOL * W.shape[1] * np.sum((W - W_t) ** 2):
-        raise ValueError(f"hessian is indefinite: the loss fell to {loss:.3g} "
-                         f"at iteration {k}")
-    return loss
-
-
 def proximal_prune_loop(W_star, H, sched, cfg, cell_prox):
     """Shared proximal-gradient pruning pipeline.
 
     cell_prox(cells, lam) maps an (n, 4) array of (signed) cells to its prox.
     Returns (W, mask, report) in the original coordinates. Raises the
-    ValueErrors of check_problem and of a schedule that cannot work, and
-    ValueError as soon as a traced loss is negative beyond roundoff.
+    ValueErrors of check_problem and of a schedule that cannot work, and the
+    ValueError of max_eigenvalue on an indefinite H, before any iteration.
     """
     W_star, H = check_problem(W_star, H)
     sched = sched or LambdaSchedule()
@@ -210,6 +198,12 @@ def proximal_prune_loop(W_star, H, sched, cfg, cell_prox):
     _check_schedule(sched, cfg)
 
     W_t, H_t, scales = precondition(W_star, H)
+    # max_eigenvalue also certifies H_t: H_t = D^-1 H D^-1 is congruent to H,
+    # so it has the inertia of H. Its diagonal is at most 1, so
+    # lambda_max(H_t) <= d, up to a factor 1 + d * 1e-10 for the roundoff
+    # negative eigenvalues that linalg._PSD_RTOL = 1e-10 lets through. Each
+    # traced loss Tr(E H_t E^T), E = W - W_t, of an accepted H_t is thus at
+    # least -1e-10 d ||E||^2: never negative beyond roundoff.
     gamma = max(max_eigenvalue(H_t), np.finfo(float).tiny)
     eta = 1.0 / (2.0 * gamma)
     WsH = W_t @ H_t
@@ -225,17 +219,17 @@ def proximal_prune_loop(W_star, H, sched, cfg, cell_prox):
         lam = schedule_lambda(sched, k, W_t)
         W = cell_prox(_cells(W), lam).reshape(W.shape)
         k += 1
-        trace.append((k, _traced_loss(W, W_t, H_t, k)))
+        trace.append((k, layer_loss(W, W_t, H_t)))
 
     terminated_by = "sparsity_reached"
     if not is_24_sparse(W, 0.0):
         terminated_by = "max_iter"
         W = clamp_top2(W)
-        trace.append((k, _traced_loss(W, W_t, H_t, k)))
+        trace.append((k, layer_loss(W, W_t, H_t)))
 
     mask = mask_of(W, 0.0)
     W = masked_gd(W, W_t, H_t, mask, cfg.gd_steps, eta)
-    trace.append((k + cfg.gd_steps, _traced_loss(W, W_t, H_t, k + cfg.gd_steps)))
+    trace.append((k + cfg.gd_steps, layer_loss(W, W_t, H_t)))
 
     W = unprecondition(W, scales)
     report = PruneReport(

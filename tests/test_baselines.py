@@ -90,10 +90,11 @@ def test_sparsegpt_output_exactly_sparse_with_correlations():
 
 
 def test_sparsegpt_singular_hessian_raises_without_damping():
+    # the damping scales with mean(diag(H)), so the zero hessian gets none
     W_star = np.ones((1, 4))
     H = np.zeros((4, 4))
     with pytest.raises(ValueError, match="singular"):
-        sparsegpt_prune(W_star, H, damp=0.0)
+        sparsegpt_prune(W_star, H)
 
 
 def test_sparsegpt_indefinite_hessian_raises():

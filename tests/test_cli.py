@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -259,7 +260,8 @@ def test_prune_rejects_an_indefinite_hessian(tmp_path, capsys):
     W_star, H = indefinite_problem()
     save_matrix(tmp_path / "w.bin", W_star)
     save_matrix(tmp_path / "h.bin", H)
-    for method in ("prox", "l0", "l1", "l2"):
+    # wanda alone never checks definiteness
+    for method in ("prox", "l0", "l1", "l2", "wanda-gd", "sparsegpt", "sparsegpt-gd"):
         out = tmp_path / f"{method}.bin"
         code = main(["prune", "--method", method, "--weights", str(tmp_path / "w.bin"),
                      "--hessian", str(tmp_path / "h.bin"), "--out", str(out),
@@ -269,3 +271,23 @@ def test_prune_rejects_an_indefinite_hessian(tmp_path, capsys):
         assert err.startswith("error:") and "indefinite" in err
         assert len(err.strip().splitlines()) == 1
         assert not out.exists()
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_prune_rejects_weights_without_columns(tmp_path, capsys, method):
+    W_star, H = np.zeros((2, 0)), np.zeros((0, 0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="no columns"):
+            run_method(method, W_star, H, LambdaSchedule(), PruneConfig())
+        save_matrix(tmp_path / "w.bin", W_star)
+        save_matrix(tmp_path / "h.bin", H)
+        out = tmp_path / "out.bin"
+        code = main(["prune", "--method", method, "--weights", str(tmp_path / "w.bin"),
+                     "--hessian", str(tmp_path / "h.bin"), "--out", str(out),
+                     "--mask-out", str(tmp_path / "m.bin")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "no columns" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()

@@ -106,14 +106,35 @@ def test_max_eigenvalue_vs_dense_solver():
     G = rng.normal(size=(16, 16))
     H = G @ G.T
     ref = float(np.linalg.eigvalsh(H)[-1])
-    assert max_eigenvalue(H, tol=1e-10) == pytest.approx(ref, rel=1e-8)
+    assert max_eigenvalue(H) == pytest.approx(ref, rel=1e-8)
 
 
 def test_max_eigenvalue_all_ones_start_in_null_space():
-    # the default probe is the ones vector, which this matrix annihilates
+    # the ones vector lies in this matrix's null space, which defeats a power
+    # iteration started from it; the eigendecomposition has no start vector
     H = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    assert max_eigenvalue(H, tol=1e-10) == pytest.approx(2.0, rel=1e-8)
+    assert max_eigenvalue(H) == pytest.approx(2.0, rel=1e-8)
     assert max_eigenvalue(np.zeros((3, 3))) == 0.0
+
+
+def test_max_eigenvalue_rejects_an_indefinite_matrix():
+    with pytest.raises(ValueError, match="indefinite"):
+        max_eigenvalue(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    with pytest.raises(ValueError, match="indefinite"):
+        max_eigenvalue(-np.eye(3))
+
+
+def test_max_eigenvalue_accepts_a_rank_deficient_hessian():
+    # rank 6 of 16: the zero eigenvalues come out negative only by roundoff
+    H = hessian_from_data(np.random.default_rng(9).normal(size=(16, 6)))
+    eigs = np.linalg.eigvalsh(H)
+    assert eigs[0] < 0.0
+    assert max_eigenvalue(H) == pytest.approx(eigs[-1], rel=1e-12)
+
+
+def test_max_eigenvalue_rejects_an_empty_matrix():
+    with pytest.raises(ValueError, match="empty"):
+        max_eigenvalue(np.zeros((0, 0)))
 
 
 def test_is_psd():
@@ -164,6 +185,6 @@ def test_single_gradient_step_never_increases_loss():
         W_star = rng.normal(size=(2, 8))
         W = rng.normal(size=(2, 8))
         H = hessian_from_data(rng.normal(size=(8, 12)))
-        eta = 1.0 / (2.0 * max_eigenvalue(H, tol=1e-10))
+        eta = 1.0 / (2.0 * max_eigenvalue(H))
         W_next = W - eta * loss_gradient(W, W_star, H)
         assert layer_loss(W_next, W_star, H) <= layer_loss(W, W_star, H) + 1e-12

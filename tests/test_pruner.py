@@ -287,14 +287,17 @@ def test_proximal_pipeline_rejects_non_finite_input(bad, where):
 
 
 def test_proximal_pipeline_rejects_an_indefinite_hessian():
-    # the loss of a PSD H cannot go negative; on this H it does within 10
-    # outer iterations, where the loop used to run on to a loss of -1e252
-    W_star, H = indefinite_problem()
-    with pytest.raises(ValueError, match="indefinite"):
-        prune_prox(W_star, H)
-    for kind in ("R0", "R1", "R2"):
+    # the spectral certificate rejects H before any iteration, whatever W*.
+    # Unchecked, the loss with this H's own W* goes negative within 10 outer
+    # iterations and runs on to -1e252. With the toy W*, prox, R0 and R1 end
+    # normally and no traced loss is negative, so only a test of H finds it.
+    W_own, H = indefinite_problem()
+    for W_star in (W_own, toy_problem()[0]):
         with pytest.raises(ValueError, match="indefinite"):
-            simple_reg_prune(W_star, H, kind)
+            prune_prox(W_star, H)
+        for kind in ("R0", "R1", "R2"):
+            with pytest.raises(ValueError, match="indefinite"):
+                simple_reg_prune(W_star, H, kind)
 
 
 # ---------------------------------------------------------------------------
