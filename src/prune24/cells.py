@@ -27,8 +27,9 @@ prox, on signed cells; one cell is a one-row call) reduces to it through
 ``pos_sort_cells`` and ``inv_pos_sort_cells``, and ``prox_enumerate``
 calls it on one sorted cell. ``solve_case_gd`` is the case solve on one
 cell. Every entry point raises ValueError unless lam is finite and
-nonnegative and the cells are finite, and a lam up to the largest finite
-float raises no numpy overflow or invalid-value warning.
+nonnegative and the cells are finite. A lam up to the largest finite float
+raises no numpy overflow or invalid-value warning, and neither do cells up
+to about 1e154, where the solver's pairwise products overflow.
 
 An interior-point solver with a log-det barrier on the objective's Hessian
 (``solve_case_ipm``) is the cell-level cross-check of the gradient solver,
@@ -107,12 +108,17 @@ def inv_pos_sort_cells(W: np.ndarray, order: np.ndarray, signs: np.ndarray) -> n
 # objective, gradient, Hessians (sorted nonnegative coordinates)
 
 
-def _objective_rows(W, Z, lam):
-    """Cell objective per row: 0.5||w-z||^2 + lam * sum of triple products."""
+def _objective_rows(W, Z, lam, s=1.0):
+    """Cell objective per row: 0.5||w-z||^2 + lam * sum of triple products.
+
+    With a per-row scale s, W and Z hold cells divided by s, and the result
+    is the objective of the unscaled cells divided by s**2; s multiplies the
+    triple-product sum before lam does, so no lam * s is formed.
+    """
     q = 0.5 * np.sum((W - Z) ** 2, axis=-1)
     w1, w2, w3, w4 = W[..., 0], W[..., 1], W[..., 2], W[..., 3]
     reg = w1 * w2 * w3 + w2 * w3 * w4 + w3 * w4 * w1 + w4 * w1 * w2
-    return q + lam * reg
+    return q + lam * (reg * s)
 
 
 def _grad_rows(W, Z, lam):
@@ -511,19 +517,25 @@ def _pick_case(Z, lam, W3, valid3, W4, valid4):
     Returns (W, choice, objective) with choice indexing _CASE_TAGS."""
     W2 = Z.copy()
     W2[:, 2:] = 0.0
+    # each row is scored on W/s and Z/s, s the largest power of two <= max(z1, 1):
+    # the scaling is exact, so the scores are the unscaled ones over s**2 wherever
+    # those are finite, and the triple-product sum, which overflows for cells
+    # above about 5e102, stays under 32 (each scaled weight is below 2)
+    s = np.ldexp(1.0, np.frexp(np.maximum(Z[:, 0], 1.0))[1] - 1)
+    Zs = Z / s[:, None]
+
+    def score(W):
+        return _objective_rows(W / s[:, None], Zs, lam, s)
+
     F = np.stack(
-        [
-            _objective_rows(W2, Z, lam),
-            np.where(valid3, _objective_rows(W3, Z, lam), np.inf),
-            np.where(valid4, _objective_rows(W4, Z, lam), np.inf),
-        ],
+        [score(W2), np.where(valid3, score(W3), np.inf), np.where(valid4, score(W4), np.inf)],
         axis=1,
     )
     choice = np.argmin(F, axis=1)  # ties resolve toward the sparser case
     out = W2
     out[choice == 1] = W3[choice == 1]
     out[choice == 2] = W4[choice == 2]
-    return out, choice, F.min(axis=1)
+    return out, choice, F.min(axis=1) * s * s
 
 
 def _prox_sorted(Z, lam):

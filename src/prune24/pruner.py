@@ -40,9 +40,10 @@ class PruneConfig:
 class PruneReport:
     iterations: int
     final_lambda: float
-    # (index, layer_loss) after each outer iteration, after the max_iter clamp
-    # (same index as the last iteration), and after the masked gradient steps
-    # (index iterations + gd_steps)
+    # (index, loss) after each outer iteration, from the next step's residual
+    # (layer_loss to roundoff); then layer_loss after the max_iter clamp (same
+    # index as the last iteration) and after the masked gradient steps (index
+    # iterations + gd_steps)
     loss_trace: list = field(default_factory=list)
     terminated_by: str = "sparsity_reached"
 
@@ -209,17 +210,22 @@ def proximal_prune_loop(W_star, H, sched, cfg, cell_prox):
     WsH = W_t @ H_t
 
     W = W_t.copy()
+    # R = (W - W_t) H_t: half the gradient of the loss at W, and the loss is
+    # <W - W_t, R>, so one product per iteration serves the trace and the
+    # next step
+    R = W @ H_t - WsH
     trace = []
     k = 0
     lam = 0.0
     while not is_24_sparse(W, 0.0):
         if k >= cfg.max_iter:
             break
-        W = W - (2.0 * eta) * (W @ H_t - WsH)
+        W = W - (2.0 * eta) * R
         lam = schedule_lambda(sched, k, W_t)
         W = cell_prox(_cells(W), lam).reshape(W.shape)
         k += 1
-        trace.append((k, layer_loss(W, W_t, H_t)))
+        R = W @ H_t - WsH
+        trace.append((k, float(np.vdot(W - W_t, R))))
 
     terminated_by = "sparsity_reached"
     if not is_24_sparse(W, 0.0):

@@ -535,6 +535,31 @@ def test_prox_cells_at_the_penalty_cap_is_clamp_top2_without_warnings():
     assert is_24_sparse(W)
 
 
+def test_prox_cells_of_a_cell_near_1e150_is_the_scaled_prox_without_warnings():
+    # the dense case's triple products (~1e449) pass the largest float unless
+    # the case pick scores the cell scaled down
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        out = prox_cells([[1e150, 7e149, 5e149, 3e149]], 1e-151)
+    expect = 1e150 * prox_cells([[1.0, 0.7, 0.5, 0.3]], 0.1)
+    assert np.count_nonzero(expect) == 4
+    assert np.allclose(out, expect, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("k", [1, 37, 100, 300, 500])
+def test_prox_cells_is_equivariant_under_power_of_two_scaling(k):
+    # scaling cells by 2**k and lam by 2**-k is exact, so the prox scales
+    # bit for bit, also where the unscaled triple products overflow
+    rng = np.random.default_rng(28)
+    cells_mat = rng.normal(size=(300, 4))
+    cells_mat = cells_mat[np.max(np.abs(cells_mat), axis=1) >= 1.0]
+    for lam in (0.01, 0.1, 0.3, 1.0, 3.0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled = prox_cells(np.ldexp(cells_mat, k), np.ldexp(lam, -k))
+        assert np.array_equal(scaled, np.ldexp(prox_cells(cells_mat, lam), k)), lam
+
+
 def test_prox_cells_matches_scalar_path():
     rng = np.random.default_rng(20)
     cells_mat = np.vstack([rng.normal(size=(50, 4)), np.zeros((1, 4))])

@@ -3,9 +3,11 @@ import sys
 import numpy as np
 import pytest
 
+from prune24 import pruner
 from prune24.baselines import brute_force_mask_search, simple_reg_prune, wanda_prune
+from prune24.cells import prox_cells, prox_simple_cells
 from prune24.harness import SyntheticSpec, gen_synthetic, toy_problem
-from prune24.linalg import hessian_from_data, layer_loss
+from prune24.linalg import hessian_from_data, layer_loss, precondition
 from prune24.pruner import (
     LambdaSchedule,
     PruneConfig,
@@ -13,6 +15,7 @@ from prune24.pruner import (
     is_24_sparse,
     mask_of,
     masked_gd,
+    proximal_prune_loop,
     prune_prox,
     schedule_lambda,
 )
@@ -219,6 +222,50 @@ def test_prune_prox_trace_has_one_entry_per_iteration_and_a_final_one(max_iter, 
     assert [i for i, _ in trace[:report.iterations]] == list(range(1, report.iterations + 1))
     assert trace[-1][0] == report.iterations + cfg.gd_steps
     assert trace[-1][1] == pytest.approx(layer_loss(W, W_star, H), rel=1e-9)
+
+
+@pytest.mark.parametrize("cell_prox, max_iter", [
+    (prox_cells, 5000),
+    (lambda cells, lam: prox_simple_cells(cells, lam, "R2"), 50),
+], ids=["prox", "R2"])
+def test_in_loop_trace_is_the_layer_loss_of_each_iterate(cell_prox, max_iter):
+    # the in-loop entries come from the step's residual, not from layer_loss
+    _, H = gen_synthetic(SyntheticSpec(d=32, alpha=0.5, seed=4))
+    W_star = np.random.default_rng(4).normal(size=(4, 32))
+    iterates = []
+
+    def recording(cells, lam):
+        out = cell_prox(cells, lam)
+        iterates.append(out.reshape(W_star.shape))
+        return out
+
+    _, _, report = proximal_prune_loop(W_star, H, None, PruneConfig(max_iter=max_iter),
+                                       recording)
+    assert report.iterations == len(iterates) > 0
+    W_t, H_t, _ = precondition(W_star, H)
+    floor = 1e-12 * np.sum(W_t ** 2)
+    for (k, loss), W_k in zip(report.loss_trace, iterates):
+        assert loss == pytest.approx(layer_loss(W_k, W_t, H_t), rel=1e-9, abs=floor), k
+
+
+@pytest.mark.parametrize("run, calls", [
+    (lambda W, H: prune_prox(W, H), 1),
+    (lambda W, H: prune_prox(W, H, cfg=PruneConfig(max_iter=3)), 2),
+    (lambda W, H: simple_reg_prune(W, H, "R1"), 1),
+    (lambda W, H: simple_reg_prune(W, H, "R2", cfg=PruneConfig(max_iter=50)), 2),
+], ids=["prox", "prox-max_iter", "R1", "R2-max_iter"])
+def test_layer_loss_runs_only_for_the_exit_entries(monkeypatch, run, calls):
+    count = []
+
+    def counting(*args):
+        count.append(1)
+        return layer_loss(*args)
+
+    monkeypatch.setattr(pruner, "layer_loss", counting)
+    rng = np.random.default_rng(37)
+    _, _, report = run(rng.normal(size=(2, 16)), hessian_from_data(rng.normal(size=(16, 40))))
+    assert report.iterations > 0
+    assert len(count) == calls
 
 
 @pytest.mark.parametrize("sched, cfg", [
