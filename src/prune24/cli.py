@@ -30,8 +30,9 @@ METHODS = ("prox", "wanda", "wanda-gd", "sparsegpt", "sparsegpt-gd", "l0", "l1",
 def run_method(method, W_star, H, sched, cfg):
     """Prune W* with one of METHODS; returns (W, mask, iterations).
 
-    iterations counts outer proximal iterations for prox/l0/l1/l2, masked
-    gradient steps for the -gd variants, and is 0 for wanda and sparsegpt.
+    iterations counts outer proximal iterations for prox/l0/l1/l2, the
+    masked gradient steps masked_gd took (at most cfg.gd_steps) for the -gd
+    variants, and is 0 for wanda and sparsegpt.
     The pruners are looked up as module globals at call time, so wrappers put
     on this module's names see every call. Raises ValueError on an unknown
     method.
@@ -47,7 +48,8 @@ def run_method(method, W_star, H, sched, cfg):
     W, mask = (wanda_prune if method.startswith("wanda") else sparsegpt_prune)(W_star, H)
     if not method.endswith("-gd"):
         return W, mask, 0
-    return masked_gd(W, W_star, H, mask, cfg.gd_steps), mask, cfg.gd_steps
+    W, steps = masked_gd(W, W_star, H, mask, cfg.gd_steps)
+    return W, mask, steps
 
 
 def _sched_cfg(args):

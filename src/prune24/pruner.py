@@ -7,6 +7,7 @@ the mask, recovers the surviving weights with masked gradient steps, and
 undoes the rescaling.
 """
 
+import numbers
 import sys
 from dataclasses import dataclass, field
 
@@ -33,7 +34,7 @@ class LambdaSchedule:
 @dataclass
 class PruneConfig:
     max_iter: int = 5000       # outer proximal-gradient iterations
-    gd_steps: int = 1000       # masked gradient steps after the mask freezes
+    gd_steps: int = 1000       # cap on the masked gradient steps after the mask freezes
 
 
 @dataclass
@@ -43,7 +44,7 @@ class PruneReport:
     # (index, loss) after each outer iteration, from the next step's residual
     # (layer_loss to roundoff); then layer_loss after the max_iter clamp (same
     # index as the last iteration) and after the masked gradient steps (index
-    # iterations + gd_steps)
+    # iterations + the steps masked_gd took, at most gd_steps)
     loss_trace: list = field(default_factory=list)
     terminated_by: str = "sparsity_reached"
 
@@ -110,26 +111,56 @@ def clamp_top2(W: np.ndarray) -> np.ndarray:
 def masked_gd(W, W_star, H, mask, steps, eta=None):
     """Gradient descent on the reconstruction loss restricted to a mask.
 
-    Masked-out entries stay exactly zero; with the default step
-    1/(2*gamma_max(H)) the loss is non-increasing. Raises the ValueErrors of
-    check_problem, and ValueError when W or mask is not shaped like W* or
-    steps is negative. The default step comes from max_eigenvalue, so it
-    also raises its ValueError on an indefinite H; an explicit eta skips
-    that check.
+    Returns (W, steps taken). Masked-out entries stay exactly zero. Each step
+    forms the masked gradient G = mask * (W H - W* H) (half the gradient) and
+    moves W by -2 eta G. The loop stops at the first step whose ||G||_F is not
+    smaller than the previous step's, or after `steps` steps.
+
+    Why the stop is exact: with the default eta = 1/(2 gamma_max(H)), one
+    step maps each row g of G to (I - P H P / gamma_max) g, where P projects
+    onto the row's mask and 0 <= PHP <= gamma_max I. g = P H e for the row's
+    error e, so g is orthogonal to the null space of PHP, and ||g|| falls
+    strictly unless g = 0. So in exact arithmetic ||G|| never grows; only
+    roundoff stops it before the cap, and every step up to the stop is the
+    plain recurrence above. An explicit eta above 1/(2 gamma_max) is outside
+    this argument: there ||G|| may grow, and the loop then ends at the first
+    step where it does.
+
+    Raises the ValueErrors of check_problem, and ValueError when W or mask
+    is not shaped like W*, W is not finite, a mask entry is neither 0 nor 1,
+    or steps is not a nonnegative integer. The default step comes from
+    max_eigenvalue, so it also raises its ValueError on an indefinite H; an
+    explicit eta skips that check.
     """
     W_star, H = check_problem(W_star, H)
     if np.shape(W) != W_star.shape or np.shape(mask) != W_star.shape:
         raise ValueError(f"W {np.shape(W)} and mask {np.shape(mask)} must have "
                          f"the shape of W* {W_star.shape}")
-    if steps < 0:
-        raise ValueError(f"steps must be nonnegative, got {steps}")
-    W = np.asarray(W, dtype=np.float64) * mask
+    _check_count("steps", steps)
+    W = np.asarray(W, dtype=np.float64)
+    mask = np.asarray(mask, dtype=np.float64)
+    if not np.all(np.isfinite(W)):
+        raise ValueError("W must be finite (found NaN or inf)")
+    if not np.all((mask == 0.0) | (mask == 1.0)):
+        raise ValueError("mask entries must be 0 or 1")
+    W = W * mask
     if eta is None:
         eta = 1.0 / (2.0 * max(max_eigenvalue(H), np.finfo(float).tiny))
     WsH = W_star @ H
-    for _ in range(int(steps)):
-        W = W - (2.0 * eta) * (mask * (W @ H - WsH))
-    return W
+    prev = np.inf
+    for k in range(steps):
+        # G is the one rows x d temporary of a step; the in-place operations
+        # do the arithmetic of W - 2 eta (mask * (W @ H - WsH))
+        G = W @ H
+        G -= WsH
+        G *= mask
+        norm2 = float(np.vdot(G, G))
+        if not norm2 < prev:
+            return W, k
+        prev = norm2
+        G *= 2.0 * eta
+        W -= G
+    return W, steps
 
 
 _SYM_RTOL = 1e-10  # allowed |H_ij - H_ji|, relative to the largest |H_jj|
@@ -172,17 +203,23 @@ def check_problem(W_star, H):
     return W_star, H
 
 
+def _check_count(name, value):
+    """Raise ValueError unless value is a nonnegative integer."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+        raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
+
+
 def _check_schedule(sched, cfg):
     """Raise ValueError unless the penalty starts positive and grows, and the
-    step counts are nonnegative; otherwise the loop can never sparsify."""
+    step counts are nonnegative integers; otherwise the loop can never
+    sparsify."""
     lam0 = sched.lambda0_tilde if sched.adaptive else sched.lambda0
     if not lam0 > 0:
         raise ValueError(f"initial penalty must be positive, got {lam0}")
     if not sched.beta > 1:
         raise ValueError(f"beta must be greater than 1, got {sched.beta}")
-    if cfg.max_iter < 0 or cfg.gd_steps < 0:
-        raise ValueError(f"max_iter and gd_steps must be nonnegative, "
-                         f"got {cfg.max_iter} and {cfg.gd_steps}")
+    _check_count("max_iter", cfg.max_iter)
+    _check_count("gd_steps", cfg.gd_steps)
 
 
 def proximal_prune_loop(W_star, H, sched, cfg, cell_prox):
@@ -234,8 +271,8 @@ def proximal_prune_loop(W_star, H, sched, cfg, cell_prox):
         trace.append((k, layer_loss(W, W_t, H_t)))
 
     mask = mask_of(W, 0.0)
-    W = masked_gd(W, W_t, H_t, mask, cfg.gd_steps, eta)
-    trace.append((k + cfg.gd_steps, layer_loss(W, W_t, H_t)))
+    W, steps = masked_gd(W, W_t, H_t, mask, cfg.gd_steps, eta)
+    trace.append((k + steps, layer_loss(W, W_t, H_t)))
 
     W = unprecondition(W, scales)
     report = PruneReport(

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from prune24.baselines import brute_force_mask_search, sparsegpt_prune, wanda_prune
+from prune24.baselines import sparsegpt_prune, wanda_prune
 from prune24.cells import (
     brute_force_prox_oracle,
     hessian_f,
@@ -23,6 +23,8 @@ from prune24.harness import reg_path_sweep, run_benchmark, toy_problem
 from prune24.linalg import is_psd, layer_loss
 from prune24.matio import read_matrix, write_matrix
 from prune24.pruner import prune_prox
+
+from reference import brute_force_mask_search
 
 LAMBDA_GRID = (0.01, 0.1, 1.0, 10.0)
 

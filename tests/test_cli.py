@@ -13,7 +13,15 @@ from prune24.cli import METHODS, main, run_method
 from prune24.harness import SyntheticSpec, gen_synthetic, run_benchmark
 from prune24.linalg import layer_loss
 from prune24.matio import load_matrix, save_matrix
-from prune24.pruner import LambdaSchedule, PruneConfig, clamp_top2, is_24_sparse, mask_of
+from prune24.baselines import sparsegpt_prune, wanda_prune
+from prune24.pruner import (
+    LambdaSchedule,
+    PruneConfig,
+    clamp_top2,
+    is_24_sparse,
+    mask_of,
+    masked_gd,
+)
 
 from bad_inputs import bad_problem, indefinite_problem
 
@@ -79,6 +87,21 @@ def test_bench_row_loss_equals_prune_output_loss(tmp_path, instance, method):
     [row] = run_benchmark([0.5], 8, [1], [method], cfg=PruneConfig(max_iter=400, gd_steps=50))
     assert row.method == method
     assert row.loss == layer_loss(load_matrix(out), load_matrix(w), load_matrix(h))
+
+
+@pytest.mark.parametrize("method, prune", [("wanda-gd", wanda_prune),
+                                           ("sparsegpt-gd", sparsegpt_prune)])
+def test_gd_variants_report_the_masked_steps_taken(method, prune):
+    W_star, H = gen_synthetic(SyntheticSpec(d=64, alpha=0.5, seed=2))
+    cfg = PruneConfig()
+    W0, mask = prune(W_star, H)
+    expect_W, steps = masked_gd(W0, W_star, H, mask, cfg.gd_steps)
+    assert 0 < steps < cfg.gd_steps
+    W, _, iterations = run_method(method, W_star, H, LambdaSchedule(), cfg)
+    assert iterations == steps
+    assert np.array_equal(W, expect_W)
+    [row] = run_benchmark([0.5], 64, [2], [method], cfg=cfg)
+    assert row.iterations == steps
 
 
 def test_prune_adaptive_lambda(tmp_path, instance):

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from prune24 import pruner
-from prune24.baselines import brute_force_mask_search, simple_reg_prune, wanda_prune
+from prune24.baselines import simple_reg_prune, sparsegpt_prune, wanda_prune
 from prune24.cells import prox_cells, prox_simple_cells
 from prune24.harness import SyntheticSpec, gen_synthetic, toy_problem
-from prune24.linalg import hessian_from_data, layer_loss, precondition
+from prune24.linalg import hessian_from_data, layer_loss, max_eigenvalue, precondition
 from prune24.pruner import (
     LambdaSchedule,
     PruneConfig,
@@ -21,6 +21,7 @@ from prune24.pruner import (
 )
 
 from bad_inputs import BAD_INPUTS, bad_problem, indefinite_problem
+from reference import _masked_least_squares_loss, brute_force_mask_search
 
 
 def test_schedule_defaults():
@@ -89,7 +90,7 @@ def test_masked_gd_diagonal_recovers_kept_weights():
     W_star = rng.normal(size=(2, 8))
     H = np.diag(rng.uniform(0.2, 1.0, size=8))
     W, mask = wanda_prune(W_star, H)
-    out = masked_gd(W, W_star, H, mask, 500)
+    out, _ = masked_gd(W, W_star, H, mask, 500)
     assert np.allclose(out, W_star * mask, atol=1e-10)
     expect = float(np.sum((1 - mask) * W_star ** 2 * np.diag(H)[None, :]))
     assert layer_loss(out, W_star, H) == pytest.approx(expect, rel=1e-12)
@@ -100,7 +101,7 @@ def test_masked_gd_toy_merges_correlated_pair():
     mask = np.array([[0.0, 1, 0, 1, 0, 1, 1, 0]])
     W0 = W_star * mask
     assert layer_loss(W0, W_star, H) == pytest.approx(13.0)
-    out = masked_gd(W0, W_star, H, mask, 1000)
+    out, _ = masked_gd(W0, W_star, H, mask, 1000)
     assert out[0, 3] == pytest.approx(4.0, abs=1e-9)
     assert layer_loss(out, W_star, H) == pytest.approx(9.0, abs=1e-9)
 
@@ -109,7 +110,7 @@ def test_masked_gd_zero_steps_is_identity():
     W_star, H = toy_problem()
     mask = mask_of(W_star * np.array([[0.0, 1, 1, 0, 0, 1, 1, 0]]))
     W0 = W_star * mask
-    assert np.array_equal(masked_gd(W0, W_star, H, mask, 0), W0)
+    assert np.array_equal(masked_gd(W0, W_star, H, mask, 0)[0], W0)
 
 
 def test_masked_gd_masked_entries_exactly_zero_and_monotone():
@@ -120,11 +121,78 @@ def test_masked_gd_masked_entries_exactly_zero_and_monotone():
     W = W_star * mask
     prev = layer_loss(W, W_star, H)
     for _ in range(20):
-        W = masked_gd(W, W_star, H, mask, 5)
+        W, _ = masked_gd(W, W_star, H, mask, 5)
         cur = layer_loss(W, W_star, H)
         assert cur <= prev + 1e-12
         assert np.all(W[mask == 0.0] == 0.0)
         prev = cur
+
+
+def _layer(rows, d, alpha, seed):
+    """(W*, H) drawn like the benchmark's instances: H = alpha diag(U) +
+    (1 - alpha) G G^T / d, which is ill-conditioned for small alpha."""
+    rng = np.random.default_rng(seed)
+    G = rng.normal(size=(d, d)) / np.sqrt(d)
+    H = alpha * np.diag(rng.uniform(size=d)) + (1.0 - alpha) * G @ G.T
+    return rng.normal(size=(rows, d)), 0.5 * (H + H.T)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_masked_gd_first_steps_are_the_plain_recurrence(k):
+    W_star, H = _layer(8, 256, 0.5, 50)
+    W, mask = wanda_prune(W_star, H)
+    eta = 1.0 / (2.0 * max_eigenvalue(H))
+    expect = W * mask
+    for _ in range(k):
+        expect = expect - (2.0 * eta) * (mask * (expect @ H - W_star @ H))
+    out, steps = masked_gd(W, W_star, H, mask, k)
+    assert steps == k
+    assert np.array_equal(out, expect)
+
+
+def test_masked_gd_takes_every_step_while_the_gradient_still_falls():
+    # cond(H) is near 1e4, so 50 steps are far from the roundoff floor
+    W_star, H = _layer(8, 256, 0.001, 51)
+    W, mask = wanda_prune(W_star, H)
+    _, steps = masked_gd(W, W_star, H, mask, 50)
+    assert steps == 50
+
+
+def test_masked_gd_stops_early_at_the_masked_least_squares_optimum():
+    W_star, H = _layer(8, 256, 0.5, 52)
+    W, mask = wanda_prune(W_star, H)
+    out, steps = masked_gd(W, W_star, H, mask, 1000)
+    assert steps < 500
+    best = np.vstack([_masked_least_squares_loss(W_star[r], H, mask[r])[1]
+                      for r in range(W_star.shape[0])])
+    assert np.linalg.norm(out - best) <= 1e-12 * np.linalg.norm(best)
+
+
+def test_masked_gd_stops_within_two_steps_on_a_diagonal_hessian():
+    rng = np.random.default_rng(53)
+    W_star = rng.normal(size=(2, 8))
+    # from wanda's weights the masked gradient is exactly zero at once; from
+    # zero, the step 1/gamma_max of H = 4I lands on W* mask in one step
+    for H, start in ((np.diag(rng.uniform(0.2, 1.0, size=8)), "wanda"), (4.0 * np.eye(8), "zero")):
+        W, mask = wanda_prune(W_star, H)
+        if start == "zero":
+            W = np.zeros_like(W)
+        out, steps = masked_gd(W, W_star, H, mask, 1000)
+        assert steps <= 2, start
+        assert np.array_equal(out, W_star * mask), start
+
+
+def test_masked_gd_never_returns_a_higher_loss_than_its_start():
+    rng = np.random.default_rng(54)
+    for alpha in (1.0, 0.5, 0.1, 0.01):
+        W_star, H = _layer(4, 64, alpha, int(rng.integers(1 << 30)))
+        starts = [prune(W_star, H) for prune in (wanda_prune, sparsegpt_prune)]
+        _, mask = starts[0]
+        starts.append((rng.normal(size=W_star.shape) * mask, mask))
+        for W, mask in starts:
+            for steps in (1, 10, 1000):
+                out, _ = masked_gd(W, W_star, H, mask, steps)
+                assert layer_loss(out, W_star, H) <= layer_loss(W, W_star, H), (alpha, steps)
 
 
 def test_prune_prox_toy_exact():
@@ -209,8 +277,23 @@ def test_prune_prox_output_exactly_sparse_and_respects_mask():
     assert final <= frozen + 1e-10
 
 
+def _record_masked_steps(monkeypatch):
+    """Wrap pruner.masked_gd; returns the list of step counts it returned."""
+    taken = []
+
+    def recording(*args):
+        W, steps = masked_gd(*args)
+        taken.append(steps)
+        return W, steps
+
+    monkeypatch.setattr(pruner, "masked_gd", recording)
+    return taken
+
+
 @pytest.mark.parametrize("max_iter, exit_entries", [(5000, 1), (3, 2)])
-def test_prune_prox_trace_has_one_entry_per_iteration_and_a_final_one(max_iter, exit_entries):
+def test_prune_prox_trace_has_one_entry_per_iteration_and_a_final_one(monkeypatch, max_iter,
+                                                                      exit_entries):
+    taken = _record_masked_steps(monkeypatch)
     rng = np.random.default_rng(35)
     W_star = rng.normal(size=(1, 8))
     H = hessian_from_data(rng.normal(size=(8, 12)))
@@ -220,8 +303,23 @@ def test_prune_prox_trace_has_one_entry_per_iteration_and_a_final_one(max_iter, 
     trace = report.loss_trace
     assert len(trace) == report.iterations + exit_entries
     assert [i for i, _ in trace[:report.iterations]] == list(range(1, report.iterations + 1))
-    assert trace[-1][0] == report.iterations + cfg.gd_steps
+    [steps] = taken
+    assert steps <= cfg.gd_steps
+    assert trace[-1][0] == report.iterations + steps
     assert trace[-1][1] == pytest.approx(layer_loss(W, W_star, H), rel=1e-9)
+
+
+@pytest.mark.parametrize("run", [
+    lambda W, H: prune_prox(W, H),
+    lambda W, H: simple_reg_prune(W, H, "R1"),
+], ids=["prox", "R1"])
+def test_final_trace_index_counts_the_masked_steps_taken(monkeypatch, run):
+    taken = _record_masked_steps(monkeypatch)
+    W_star, H = _layer(4, 64, 0.5, 55)
+    _, _, report = run(W_star, H)
+    [steps] = taken
+    assert 0 < steps < PruneConfig().gd_steps
+    assert report.loss_trace[-1][0] == report.iterations + steps
 
 
 @pytest.mark.parametrize("cell_prox, max_iter", [
@@ -276,6 +374,8 @@ def test_layer_loss_runs_only_for_the_exit_entries(monkeypatch, run, calls):
     (LambdaSchedule(beta=0.9), PruneConfig()),
     (LambdaSchedule(), PruneConfig(max_iter=-1)),
     (LambdaSchedule(), PruneConfig(gd_steps=-1)),
+    (LambdaSchedule(), PruneConfig(max_iter=2.5)),
+    (LambdaSchedule(), PruneConfig(gd_steps=2.7)),
 ])
 def test_proximal_pipeline_rejects_schedules_that_cannot_work(sched, cfg):
     W_star, H = toy_problem()
@@ -298,6 +398,24 @@ def test_masked_gd_rejects_bad_input():
         masked_gd(W, W_star, H, mask[:1], 10)  # would broadcast over the rows
     with pytest.raises(ValueError, match="nonnegative"):
         masked_gd(W, W_star, H, mask, -1)
+
+
+def test_masked_gd_rejects_non_finite_weights_fractional_masks_and_fractional_steps():
+    rng = np.random.default_rng(36)
+    W_star = rng.normal(size=(2, 8))
+    H = np.eye(8)
+    W, mask = wanda_prune(W_star, H)
+    for value, kept in ((np.nan, 0.0), (np.inf, 1.0)):  # a masked-out, then a kept entry
+        bad_W = W.copy()
+        bad_W[0, np.flatnonzero(mask[0] == kept)[0]] = value
+        with pytest.raises(ValueError, match="W must be finite"):
+            masked_gd(bad_W, W_star, H, mask, 10)
+    with pytest.raises(ValueError, match="0 or 1"):
+        masked_gd(W, W_star, H, np.where(mask == 1.0, 0.75, 0.25), 10)
+    for steps in (2.7, 3.0, "3", True):
+        with pytest.raises(ValueError, match="integer"):
+            masked_gd(W, W_star, H, mask, steps)
+    assert masked_gd(W, W_star, H, mask.astype(bool), np.int64(3))[1] <= 3
 
 
 def test_prune_prox_deterministic():
