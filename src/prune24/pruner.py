@@ -116,7 +116,7 @@ def masked_gd(W, W_star, H, mask, steps, eta=None):
     moves W by -2 eta G. The loop stops at the first step whose ||G||_F is not
     smaller than the previous step's, or after `steps` steps.
 
-    Why the stop is exact: with the default eta = 1/(2 gamma_max(H)), one
+    Why the stop is exact: with eta = 1/(2 gamma_max(H)), the default, one
     step maps each row g of G to (I - P H P / gamma_max) g, where P projects
     onto the row's mask and 0 <= PHP <= gamma_max I. g = P H e for the row's
     error e, so g is orthogonal to the null space of PHP, and ||g|| falls
@@ -205,14 +205,13 @@ def check_problem(W_star, H):
 
 def _check_count(name, value):
     """Raise ValueError unless value is a nonnegative integer."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+    if not isinstance(value, numbers.Integral) or value < 0:
         raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
 
 
 def _check_schedule(sched, cfg):
-    """Raise ValueError unless the penalty starts positive and grows, and the
-    step counts are nonnegative integers; otherwise the loop can never
-    sparsify."""
+    """Raise ValueError unless the penalty starts positive and grows (else the
+    loop can never sparsify) and the step counts are nonnegative integers."""
     lam0 = sched.lambda0_tilde if sched.adaptive else sched.lambda0
     if not lam0 > 0:
         raise ValueError(f"initial penalty must be positive, got {lam0}")

@@ -9,11 +9,11 @@ import pytest
 
 import prune24
 from prune24 import cli
+from prune24.baselines import sparsegpt_prune, wanda_prune
 from prune24.cli import METHODS, main, run_method
 from prune24.harness import SyntheticSpec, gen_synthetic, run_benchmark
 from prune24.linalg import layer_loss
 from prune24.matio import load_matrix, save_matrix
-from prune24.baselines import sparsegpt_prune, wanda_prune
 from prune24.pruner import (
     LambdaSchedule,
     PruneConfig,

