@@ -5,8 +5,8 @@ Tr((W - W*) H (W - W*)^T) subject to every aligned group of 4 weights
 keeping at most 2 nonzeros. The main method runs proximal gradient descent
 with a cellwise triple-product penalty whose prox is solved exactly through
 three convex cases; score-based (wanda) and OBS-style (sparsegpt) pruners,
-closed-form shrinkage penalties, masked-gradient post-optimization, and
-exact brute-force references are included for comparison.
+closed-form shrinkage penalties and masked-gradient post-optimization are
+included for comparison.
 """
 
 from .baselines import (
@@ -16,12 +16,10 @@ from .baselines import (
     wanda_scores,
 )
 from .cells import (
-    KktReport,
     ProxResult,
     cell_objective,
     hessian_f,
     hessian_g,
-    kkt_check,
     lambda_thresholds,
     prox_cells,
     prox_enumerate,
@@ -71,7 +69,6 @@ from .rng import SplitMix64
 
 __all__ = [
     "BenchRow",
-    "KktReport",
     "LambdaSchedule",
     "METHODS",
     "ProxResult",
@@ -88,7 +85,6 @@ __all__ = [
     "hessian_g",
     "is_24_sparse",
     "is_psd",
-    "kkt_check",
     "lambda_thresholds",
     "layer_loss",
     "load_matrix",

@@ -10,6 +10,9 @@ Binary format (bit-exact across platforms):
 CSV fallback: first line ``rows,cols``, then one matrix row per line with
 comma-separated values. Values are written with repr precision so the text
 roundtrip reproduces the exact doubles.
+
+Both readers raise ValueError on data past the declared matrix; a CSV may
+end in blank lines.
 """
 
 import struct
@@ -47,8 +50,10 @@ def read_matrix(path) -> np.ndarray:
         if rows * cols > _MAX_ELEMS:
             raise ValueError(f"dimension overflow: {rows}x{cols}")
         payload = fh.read(8 * rows * cols)
-    if len(payload) != 8 * rows * cols:
-        raise ValueError("truncated file: incomplete payload")
+        if len(payload) != 8 * rows * cols:
+            raise ValueError("truncated file: incomplete payload")
+        if fh.read(1):
+            raise ValueError(f"trailing data after the {rows}x{cols} payload")
     data = np.frombuffer(payload, dtype="<f8").astype(np.float64)
     return data.reshape(rows, cols)
 
@@ -73,6 +78,8 @@ def read_matrix_csv(path) -> np.ndarray:
             rows, cols = (int(tok) for tok in first.strip().split(","))
         except ValueError as exc:
             raise ValueError(f"bad csv header {first.strip()!r}") from exc
+        if rows < 0 or cols < 0:
+            raise ValueError(f"negative dimension in csv header: {rows}x{cols}")
         if rows * cols > _MAX_ELEMS:
             raise ValueError(f"dimension overflow: {rows}x{cols}")
         out = np.empty((rows, cols))
@@ -84,6 +91,8 @@ def read_matrix_csv(path) -> np.ndarray:
             if len(vals) != cols:
                 raise ValueError(f"row {r} has {len(vals)} values, expected {cols}")
             out[r] = [float(v) for v in vals]
+        if any(line.strip() for line in fh):
+            raise ValueError(f"trailing data after the {rows} declared rows")
     return out
 
 

@@ -2,12 +2,17 @@
 
 _masked_least_squares_loss refits one row on a fixed support by solving its
 least-squares normal equations; brute_force_mask_search enumerates every
-2:4 mask of a tiny instance with that refit.
+2:4 mask of a tiny instance with that refit. brute_force_prox_oracle is a
+grid-search reference for the sorted cell prox, and kkt_check tests a cell
+for first-order optimality.
 """
 
+from dataclasses import dataclass
 from itertools import combinations, product
 
 import numpy as np
+
+from prune24.cells import _check_sorted, _grad_rows
 
 
 def _masked_least_squares_loss(w_star, H, keep):
@@ -59,3 +64,144 @@ def brute_force_mask_search(W_star: np.ndarray, H: np.ndarray):
         best_mask[r] = best_keep
         total += best_loss
     return best_mask, total
+
+
+# ---------------------------------------------------------------------------
+# cell optimality check
+
+
+@dataclass
+class KktReport:
+    stationarity_residual: float
+    nu: np.ndarray  # multipliers for the w >= 0 constraints (= objective gradient)
+    primal_feasible: bool
+    dual_feasible: bool
+    complementary_slack: bool
+
+    @property
+    def passed(self) -> bool:
+        return self.primal_feasible and self.dual_feasible and self.complementary_slack
+
+
+def kkt_check(w, z, lam, tol=1e-7) -> KktReport:
+    """First-order optimality check for the sorted cell prox at w.
+
+    With nu := grad of the cell objective, a critical point needs nu >= 0,
+    w >= 0 and nu_i w_i = 0 per coordinate, all within tol.
+    """
+    w = np.asarray(w, dtype=np.float64).reshape(4)
+    z = _check_sorted(z)
+    nu = np.asarray(_grad_rows(w, z, lam))
+    comp = float(np.abs(nu * w).max())
+    residual = float(np.abs(w - np.maximum(w - nu, 0.0)).max())
+    return KktReport(
+        stationarity_residual=residual,
+        nu=nu,
+        primal_feasible=bool(np.all(w >= 0.0)),
+        dual_feasible=bool(np.all(nu >= -tol)),
+        complementary_slack=bool(comp <= tol),
+    )
+
+
+# ---------------------------------------------------------------------------
+# brute-force oracle
+#
+# Kept deliberately independent of the case solvers in prune24.cells: its own objective
+# expression, a dense grid search, and a fixed-step refinement.
+
+_GRID_POINTS = 101  # grid 0, z1/100, ..., z1
+_tables = None
+
+
+def _oracle_tables():
+    """Sorted-grid tables shared by all oracle calls.
+
+    The objective is symmetric in the penalty and the quadratic part is
+    minimized, over permutations of a candidate, by matching z's descending
+    order (a rearrangement argument), so searching only grid points with
+    u1 >= u2 >= u3 >= u4 returns the same minimum value as the full grid.
+    """
+    global _tables
+    if _tables is not None:
+        return _tables
+    n = _GRID_POINTS
+    pk, pl = np.tril_indices(n)  # all (k, l) with k >= l, grouped by k
+    tail_count = [(j + 1) * (j + 2) // 2 for j in range(n)]
+    total = sum(tail_count[j] for i in range(n) for j in range(i + 1))
+    i_col = np.empty(total, dtype=np.int32)
+    j_col = np.empty(total, dtype=np.int32)
+    k_col = np.empty(total, dtype=np.int32)
+    l_col = np.empty(total, dtype=np.int32)
+    pos = 0
+    for i in range(n):
+        for j in range(i + 1):
+            m = int(tail_count[j])
+            i_col[pos:pos + m] = i
+            j_col[pos:pos + m] = j
+            k_col[pos:pos + m] = pk[:m]
+            l_col[pos:pos + m] = pl[:m]
+            pos += m
+    step = 1.0 / (n - 1)
+    U = tuple(c.astype(np.float64) * step for c in (i_col, j_col, k_col, l_col))
+    u1, u2, u3, u4 = U
+    E3 = u2 * u3 * u4 + u1 * u3 * u4 + u1 * u2 * u4 + u1 * u2 * u3
+    _tables = (*U, E3)
+    return _tables
+
+
+def brute_force_prox_oracle(z, lam):
+    """Independent reference for the sorted cell prox.
+
+    Evaluates the objective on a uniform grid over [0, z1]^4 with step
+    z1/100 plus the exact 2-sparse point, then refines the best point with
+    10000 projected-gradient steps at step 1/8, returning the best (w, f)
+    seen anywhere.
+    """
+    z = _check_sorted(z)
+    z1, z2, z3, z4 = (float(v) for v in z)
+    if z1 <= 0.0:
+        return np.zeros(4), 0.0
+
+    def fval(w1, w2, w3, w4):
+        q = (w1 - z1) ** 2 + (w2 - z2) ** 2 + (w3 - z3) ** 2 + (w4 - z4) ** 2
+        reg = w1 * w2 * w3 + w2 * w3 * w4 + w3 * w4 * w1 + w4 * w1 * w2
+        return 0.5 * q + lam * reg
+
+    u1, u2, u3, u4, e3 = _oracle_tables()
+    # in-place accumulation; these arrays have ~4.6M entries
+    F = u1 - 1.0
+    F *= F
+    tmp = np.empty_like(F)
+    for u, c in ((u2, z2 / z1), (u3, z3 / z1), (u4, z4 / z1)):
+        np.subtract(u, c, out=tmp)
+        tmp *= tmp
+        F += tmp
+    F *= 0.5
+    np.multiply(e3, lam * z1, out=tmp)
+    F += tmp
+    b = int(np.argmin(F))
+    w = (z1 * u1[b], z1 * u2[b], z1 * u3[b], z1 * u4[b])
+    best_w, best_f = w, fval(*w)
+
+    two_sparse = (z1, z2, 0.0, 0.0)
+    f2 = fval(*two_sparse)
+    if f2 < best_f:
+        best_w, best_f = two_sparse, f2
+
+    w1, w2, w3, w4 = best_w
+    for _ in range(10000):
+        g1 = w1 - z1 + lam * (w2 * w3 + w2 * w4 + w3 * w4)
+        g2 = w2 - z2 + lam * (w1 * w3 + w1 * w4 + w3 * w4)
+        g3 = w3 - z3 + lam * (w1 * w2 + w1 * w4 + w2 * w4)
+        g4 = w4 - z4 + lam * (w1 * w2 + w1 * w3 + w2 * w3)
+        n1 = max(w1 - 0.125 * g1, 0.0)
+        n2 = max(w2 - 0.125 * g2, 0.0)
+        n3 = max(w3 - 0.125 * g3, 0.0)
+        n4 = max(w4 - 0.125 * g4, 0.0)
+        if n1 == w1 and n2 == w2 and n3 == w3 and n4 == w4:
+            break  # exact fixed point: every further step is a no-op
+        w1, w2, w3, w4 = n1, n2, n3, n4
+        f = fval(w1, w2, w3, w4)
+        if f < best_f:
+            best_w, best_f = (w1, w2, w3, w4), f
+    return np.array(best_w), best_f

@@ -12,7 +12,6 @@ import pytest
 
 from prune24.baselines import sparsegpt_prune, wanda_prune
 from prune24.cells import (
-    brute_force_prox_oracle,
     hessian_f,
     prox_cells,
     prox_enumerate,
@@ -24,7 +23,7 @@ from prune24.linalg import is_psd, layer_loss
 from prune24.matio import read_matrix, write_matrix
 from prune24.pruner import prune_prox
 
-from reference import brute_force_mask_search
+from reference import brute_force_mask_search, brute_force_prox_oracle
 
 LAMBDA_GRID = (0.01, 0.1, 1.0, 10.0)
 

@@ -6,12 +6,10 @@ import pytest
 
 from prune24 import cells
 from prune24.cells import (
-    brute_force_prox_oracle,
     cell_objective,
     hessian_f,
     hessian_g,
     inv_pos_sort_cells,
-    kkt_check,
     lambda_thresholds,
     pos_sort_cells,
     prox_cells,
@@ -24,6 +22,8 @@ from prune24.cells import (
 from prune24.harness import SyntheticSpec, gen_synthetic
 from prune24.linalg import is_psd
 from prune24.pruner import LambdaSchedule, clamp_top2, is_24_sparse, prune_prox
+
+from reference import brute_force_prox_oracle, kkt_check
 
 
 def sorted_abs(rng, scale=1.0):
@@ -490,6 +490,33 @@ def test_one_kernel_pass_per_prox(monkeypatch):
     batches.clear()
     prox_enumerate(np.array([1.6, 1.1, 0.8, 0.5]), 0.3)
     assert batches == [(2, 1)]
+
+
+def _kernel_and_prox(monkeypatch, scalar_rows, Z, pinned, cells_mat, lam):
+    monkeypatch.setattr(cells, "_SCALAR_ROWS", scalar_rows)
+    out = cells._gd_solve_batched(Z, lam, pinned)
+    return [a.tobytes() for a in out], prox_cells(cells_mat, lam).tobytes()
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.01, 0.1, 0.3, 1.0, 3.0, sys.float_info.max])
+def test_batch_and_row_loops_agree_bit_for_bit(monkeypatch, lam):
+    # every row run wholly in the batch (0) or wholly in the row loop (a
+    # huge limit) ends with the same weights, flags and iteration counts,
+    # signed zeros included, also where the iteration cap stalls rows
+    rng = np.random.default_rng(29)
+    for n in (1, 3, 64, 2000):
+        cells_mat = rng.normal(size=(n, 4)) * np.exp(rng.uniform(-3.0, 3.0, size=(n, 1)))
+        Z, _, _ = pos_sort_cells(cells_mat)
+        Z, pinned = np.vstack([Z, Z]), np.arange(2 * n) < n
+        batch = _kernel_and_prox(monkeypatch, 0, Z, pinned, cells_mat, lam)
+        rows = _kernel_and_prox(monkeypatch, 1 << 30, Z, pinned, cells_mat, lam)
+        assert batch == rows, n
+        if n == 64:
+            with monkeypatch.context() as m:
+                m.setattr(cells, "DEFAULT_MAX_ITER", 3)
+                batch = _kernel_and_prox(m, 0, Z, pinned, cells_mat, lam)
+                rows = _kernel_and_prox(m, 1 << 30, Z, pinned, cells_mat, lam)
+            assert batch == rows, n
 
 
 @pytest.mark.parametrize("lam", [0.1, 0.3, 1.0])

@@ -47,6 +47,35 @@ def test_truncated_payload(tmp_path):
         read_matrix(path)
 
 
+def test_trailing_payload_bytes(tmp_path):
+    path = tmp_path / "long.bin"
+    write_matrix(path, np.ones((2, 2)))
+    path.write_bytes(path.read_bytes() + b"\x00" * 8)
+    with pytest.raises(ValueError, match="trailing data"):
+        read_matrix(path)
+
+
+def test_csv_trailing_rows(tmp_path):
+    path = tmp_path / "long.csv"
+    path.write_text("1,2\n1.0,2.0\n3.0,4.0\n")
+    with pytest.raises(ValueError, match="trailing data"):
+        read_matrix_csv(path)
+
+
+def test_csv_trailing_blank_lines_are_allowed(tmp_path):
+    path = tmp_path / "blank.csv"
+    path.write_text("1,2\n1.0,2.0\n\n  \n")
+    assert np.array_equal(read_matrix_csv(path), [[1.0, 2.0]])
+
+
+@pytest.mark.parametrize("header", ["-1,2", "2,-1"])
+def test_csv_negative_header(tmp_path, header):
+    path = tmp_path / "neg.csv"
+    path.write_text(header + "\n")
+    with pytest.raises(ValueError, match="negative dimension"):
+        read_matrix_csv(path)
+
+
 def test_dimension_overflow(tmp_path):
     import struct
 
