@@ -23,7 +23,6 @@ from .cells import (
     lambda_thresholds,
     prox_cells,
     prox_enumerate,
-    regularizer_rNM,
     solve_case_gd,
     solve_case_ipm,
 )
@@ -39,9 +38,7 @@ from .harness import (
 )
 from .linalg import (
     hessian_from_data,
-    is_psd,
     layer_loss,
-    loss_gradient,
     max_eigenvalue,
     precondition,
     unprecondition,
@@ -84,11 +81,9 @@ __all__ = [
     "hessian_from_data",
     "hessian_g",
     "is_24_sparse",
-    "is_psd",
     "lambda_thresholds",
     "layer_loss",
     "load_matrix",
-    "loss_gradient",
     "mask_of",
     "masked_gd",
     "max_eigenvalue",
@@ -100,7 +95,6 @@ __all__ = [
     "read_matrix_csv",
     "reg_path_csv",
     "reg_path_sweep",
-    "regularizer_rNM",
     "run_benchmark",
     "run_method",
     "save_matrix",

@@ -86,7 +86,7 @@ def sparsegpt_prune(W_star: np.ndarray, H: np.ndarray):
         C[r, q] = coef[..., 0]
         W[:, b:] -= C @ Hinv_q.T
         W[r, b + q] = 0.0  # exact zeros
-    mask = mask_of(W, 0.0)
+    mask = mask_of(W)
     return W, mask
 
 

@@ -34,13 +34,12 @@ raises no numpy overflow or invalid-value warning, and neither do cells up
 to about 1e154, where the solver's pairwise products overflow.
 
 An interior-point solver with a log-det barrier on the objective's Hessian
-(``solve_case_ipm``) is the cell-level cross-check of the gradient solver,
-reached through ``prox_enumerate(backend="ipm")``, and decides the rare
-stalled case whose Newton polish fails.
+(``solve_case_ipm``) decides the rare stalled case whose Newton polish
+fails; the tests also run it on whole cells as the cross-check of the
+gradient solver.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -51,25 +50,12 @@ _POS_RTOL = 1e-12  # coordinates below this (times the cell scale) count as zero
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 2000
 _IPM_TOL = 1e-8  # barrier path tolerance of the interior-point solver
+_POLISH_MAX_ITER = 40  # Newton steps of the polish of a stalled row
+_SECOND_ORDER_TOL = 1e-9  # smallest case-Hessian eigenvalue a polished point may have
 
 
 # ---------------------------------------------------------------------------
-# regularizer and sign/sort reduction
-
-
-def regularizer_rNM(w: np.ndarray, N: int, M: int) -> float:
-    """Sum over all (N+1)-subsets of the product of absolute entries.
-
-    Zero exactly when w has at most N nonzeros, which is what makes it a
-    structured-sparsity penalty.
-    """
-    w = np.asarray(w, dtype=np.float64)
-    if not 1 <= N < M:
-        raise ValueError(f"need 1 <= N < M, got N={N} M={M}")
-    if w.shape != (M,):
-        raise ValueError(f"expected a length-{M} vector, got shape {w.shape}")
-    a = np.abs(w)
-    return float(sum(np.prod(a[list(S)]) for S in combinations(range(M), N + 1)))
+# sign/sort reduction
 
 
 def _check_lam(lam):
@@ -86,6 +72,13 @@ def _check_cells(cells):
     return cells
 
 
+def descending_order(values: np.ndarray) -> np.ndarray:
+    """Per row, the column indices by descending value, the lower column first
+    in a tie: the one order of pos_sort_cells and pruner.keep_top2, so every
+    method keeps the same two weights of a tied cell."""
+    return np.argsort(-values, axis=1, kind="stable")
+
+
 def pos_sort_cells(cells: np.ndarray):
     """Rowwise |.|-descending stable sort of an (n, 4) array.
 
@@ -94,7 +87,7 @@ def pos_sort_cells(cells: np.ndarray):
     ValueError unless cells is a finite (n, 4) array.
     """
     cells = _check_cells(cells)
-    order = np.argsort(-np.abs(cells), axis=1, kind="stable")
+    order = descending_order(np.abs(cells))
     sorted_abs = np.take_along_axis(np.abs(cells), order, axis=1)
     signs = np.where(cells < 0, -1.0, 1.0)
     return sorted_abs, order, signs
@@ -313,7 +306,7 @@ def _gd_solve_batched(Z, lam, pinned, trajectory=None):
     return W_out, converged, aborted, stalled, iters
 
 
-def _newton_polish(w, z, lam, pinned, tol_eff, max_iter=40):
+def _newton_polish(w, z, lam, pinned, tol_eff):
     """Newton refinement for rows where plain GD stalls near a flat optimum.
 
     Operates on the free coordinates only and keeps iterates nonnegative.
@@ -330,7 +323,7 @@ def _newton_polish(w, z, lam, pinned, tol_eff, max_iter=40):
         return np.abs(wv - np.maximum(wv - _ETA * g, 0.0)).max() / _ETA, g
 
     res, g = residual(w)
-    for _ in range(max_iter):
+    for _ in range(_POLISH_MAX_ITER):
         if res <= tol_eff:
             return w, True
         A = _case_hessian(w, lam, dim)
@@ -355,10 +348,11 @@ def _newton_polish(w, z, lam, pinned, tol_eff, max_iter=40):
     return w, res <= tol_eff
 
 
-def _second_order_ok(w, lam, pinned, tol=1e-9):
+def _second_order_ok(w, lam, pinned):
     """Newton-polished points must sit in the PSD region of the case Hessian;
     otherwise the polish found a saddle rather than a case minimum."""
-    return bool(np.linalg.eigvalsh(_case_hessian(w, lam, 4 - int(pinned)))[0] >= -tol)
+    eigs = np.linalg.eigvalsh(_case_hessian(w, lam, 4 - int(pinned)))
+    return bool(eigs[0] >= -_SECOND_ORDER_TOL)
 
 
 def _solve_case_rows(Z, lam, pinned, trajectory=None):
@@ -601,28 +595,18 @@ def _prox_sorted(Z, lam):
     return _pick_case(Z, lam, W[:n], valid[:n], W[n:], valid[n:])
 
 
-def prox_enumerate(z, lam, backend="gd") -> ProxResult:
+def prox_enumerate(z, lam) -> ProxResult:
     """Solve the sorted nonnegative cell prox by enumerating the three cases.
 
-    Always evaluates the closed-form 2-sparse candidate [z1, z2, 0, 0] and the
-    3-sparse/dense candidates from projected GD (backend="gd", the same
-    solve as prox_cells) or solve_case_ipm (backend="ipm", the cross-check),
-    then returns the one with the smallest objective (ties go to the sparser
-    case). Raises ValueError unless z is sorted, nonnegative and finite and
-    lam is finite and nonnegative.
+    Evaluates the closed-form 2-sparse candidate [z1, z2, 0, 0] and the
+    3-sparse and dense candidates from projected GD (the same solve as
+    prox_cells), then returns the one with the smallest objective (ties go
+    to the sparser case). Raises ValueError unless z is sorted, nonnegative
+    and finite and lam is finite and nonnegative.
     """
     Z = _check_sorted(z)[None, :]
     _check_lam(lam)
-    if backend == "gd":
-        W, choice, F = _prox_sorted(Z, lam)
-    elif backend == "ipm":
-        cands = []
-        for case in _CASES:
-            w, _, _ = solve_case_ipm(Z[0], lam, case)
-            cands += [np.zeros((1, 4)) if w is None else w[None, :], np.array([w is not None])]
-        W, choice, F = _pick_case(Z, lam, *cands)
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
+    W, choice, F = _prox_sorted(Z, lam)
     return ProxResult(W[0], _CASE_TAGS[choice[0]], float(F[0]))
 
 

@@ -53,10 +53,8 @@ def run_method(method, W_star, H, sched, cfg):
 
 
 def _sched_cfg(args):
-    sched = LambdaSchedule(lambda0=args.lambda0, beta=args.beta)
-    if args.adaptive_lambda is not None:
-        sched.adaptive = True
-        sched.lambda0_tilde = args.adaptive_lambda
+    sched = LambdaSchedule(lambda0=args.lambda0, beta=args.beta,
+                           lambda0_tilde=args.adaptive_lambda)
     cfg = PruneConfig(max_iter=args.max_iter, gd_steps=args.gd_steps)
     return sched, cfg
 
@@ -124,12 +122,12 @@ def _cmd_eval_loss(args):
 
 
 def _add_schedule_flags(p):
-    p.add_argument("--gd-steps", type=int, default=1000)
-    p.add_argument("--lambda0", type=float, default=0.01)
-    p.add_argument("--beta", type=float, default=1.01)
+    p.add_argument("--gd-steps", type=int, default=PruneConfig.gd_steps)
+    p.add_argument("--lambda0", type=float, default=LambdaSchedule.lambda0)
+    p.add_argument("--beta", type=float, default=LambdaSchedule.beta)
     p.add_argument("--adaptive-lambda", type=float, default=None, metavar="LAMBDA0_TILDE",
                    help="use the weight-scale-adaptive schedule with this base value")
-    p.add_argument("--max-iter", type=int, default=5000)
+    p.add_argument("--max-iter", type=int, default=PruneConfig.max_iter)
 
 
 def build_parser():
@@ -168,8 +166,8 @@ def build_parser():
     p.add_argument("--seeds", type=int, default=5)
     p.add_argument("--methods", default="all")
     p.add_argument("--out", required=True)
-    p.add_argument("--gd-steps", type=int, default=1000)
-    p.add_argument("--max-iter", type=int, default=5000)
+    p.add_argument("--gd-steps", type=int, default=PruneConfig.gd_steps)
+    p.add_argument("--max-iter", type=int, default=PruneConfig.max_iter)
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("toy", help="run a method on the built-in toy instance")

@@ -13,7 +13,7 @@ import numpy as np
 
 from .cells import inv_pos_sort_cells, lambda_thresholds, pos_sort_cells, prox_enumerate
 from .linalg import layer_loss
-from .pruner import LambdaSchedule, PruneConfig
+from .pruner import PruneConfig
 from .rng import SplitMix64
 
 
@@ -92,16 +92,15 @@ class BenchRow:
     iterations: int
 
 
-def run_benchmark(alphas, d, seeds, methods, sched=None, cfg=None):
+def run_benchmark(alphas, d, seeds, methods, cfg=None):
     """Prune synthetic instances with every requested method.
 
     Each (alpha, seed) pair generates one instance shared by all methods,
-    and each method runs through cli.run_method. Returns BenchRow records
-    sorted by (alpha, seed, method).
+    and each method runs through cli.run_method with the default penalty
+    schedule. Returns BenchRow records sorted by (alpha, seed, method).
     """
     from .cli import METHODS, run_method  # cli imports this module
 
-    sched = sched or LambdaSchedule()
     cfg = cfg or PruneConfig()
     for m in methods:
         if m not in METHODS:
@@ -112,7 +111,7 @@ def run_benchmark(alphas, d, seeds, methods, sched=None, cfg=None):
             W_star, H = gen_synthetic(SyntheticSpec(d=d, alpha=alpha, seed=seed))
             for method in methods:
                 t0 = time.perf_counter()
-                W, _, iters = run_method(method, W_star, H, sched, cfg)
+                W, _, iters = run_method(method, W_star, H, None, cfg)
                 dt = time.perf_counter() - t0
                 rows.append(
                     BenchRow(

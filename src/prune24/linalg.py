@@ -33,14 +33,6 @@ def layer_loss(W: np.ndarray, W_star: np.ndarray, H: np.ndarray) -> float:
     return float(np.sum((delta @ H) * delta))
 
 
-def loss_gradient(W: np.ndarray, W_star: np.ndarray, H: np.ndarray) -> np.ndarray:
-    """Gradient of layer_loss in W: 2 (W - W*) H."""
-    W = np.asarray(W, dtype=np.float64)
-    W_star = np.asarray(W_star, dtype=np.float64)
-    _check_shapes(W, W_star, H)
-    return 2.0 * ((W - W_star) @ H)
-
-
 # smallest eigenvalue allowed, relative to minus the largest one: roundoff
 # makes the zero eigenvalues of a singular PSD matrix slightly negative
 _PSD_RTOL = 1e-10
@@ -61,12 +53,6 @@ def max_eigenvalue(H: np.ndarray) -> float:
         raise ValueError(f"hessian is indefinite: its smallest eigenvalue is "
                          f"{eigs[0]:.3g}, its largest {eigs[-1]:.3g}")
     return float(eigs[-1])
-
-
-def is_psd(M: np.ndarray, tol: float = 1e-9) -> bool:
-    """True iff the smallest eigenvalue of symmetric M is >= -tol."""
-    eigs = np.linalg.eigvalsh(np.asarray(M, dtype=np.float64))
-    return bool(eigs[0] >= -tol)
 
 
 # scale floor for dead input channels: keeps the transform invertible while

@@ -8,7 +8,8 @@ Binary format (bit-exact across platforms):
                              row-major
 
 CSV fallback: first line ``rows,cols``, then one matrix row per line with
-comma-separated values. Values are written with repr precision so the text
+comma-separated values (an empty line for each row of a matrix with no
+columns). Values are written with repr precision so the text
 roundtrip reproduces the exact doubles.
 
 Both readers raise ValueError on data past the declared matrix; a CSV may
@@ -87,7 +88,9 @@ def read_matrix_csv(path) -> np.ndarray:
             line = fh.readline()
             if not line:
                 raise ValueError("truncated file: missing rows")
-            vals = line.strip().split(",")
+            text = line.strip()
+            # a row of a matrix with no columns is an empty line
+            vals = text.split(",") if text or cols else []
             if len(vals) != cols:
                 raise ValueError(f"row {r} has {len(vals)} values, expected {cols}")
             out[r] = [float(v) for v in vals]

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cells import prox_cells
+from .cells import descending_order, prox_cells
 from .linalg import layer_loss, max_eigenvalue, precondition, unprecondition
 
 
@@ -21,14 +21,14 @@ from .linalg import layer_loss, max_eigenvalue, precondition, unprecondition
 class LambdaSchedule:
     """Exponential penalty schedule lam_k = lam0 * beta**k.
 
-    With adaptive=True, lam0 is replaced by lambda0_tilde / mean(|W*|) so the
-    schedule tracks the scale of the weights it is applied to.
+    lam0 is lambda0, unless lambda0_tilde is set: then the schedule is
+    adaptive, and lam0 is lambda0_tilde / mean(|W*|), so the schedule tracks
+    the scale of the weights it is applied to.
     """
 
     lambda0: float = 0.01
     beta: float = 1.01
-    adaptive: bool = False
-    lambda0_tilde: float = 1e-3
+    lambda0_tilde: float | None = None
 
 
 @dataclass
@@ -54,7 +54,7 @@ def schedule_lambda(s: LambdaSchedule, k: int, W_star: np.ndarray = None) -> flo
     float (an infinite penalty turns the cell proxes' inf * 0 into NaN)."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    if s.adaptive:
+    if s.lambda0_tilde is not None:
         if W_star is None:
             raise ValueError("adaptive schedule needs the weight matrix")
         scale = float(np.mean(np.abs(W_star)))
@@ -75,29 +75,29 @@ def _cells(W: np.ndarray) -> np.ndarray:
     return W.reshape(-1, 4)
 
 
-def is_24_sparse(W: np.ndarray, eps: float = 0.0) -> bool:
-    """True iff every aligned 4-cell has at most 2 entries with |w| > eps."""
-    counts = np.sum(np.abs(_cells(np.asarray(W, dtype=np.float64))) > eps, axis=1)
+def is_24_sparse(W: np.ndarray) -> bool:
+    """True iff every aligned 4-cell has at most 2 nonzero entries."""
+    counts = np.sum(np.abs(_cells(np.asarray(W, dtype=np.float64))) > 0.0, axis=1)
     return bool(np.all(counts <= 2))
 
 
-def mask_of(W: np.ndarray, eps: float = 0.0) -> np.ndarray:
-    """Binary matrix marking entries with |w| > eps."""
+def mask_of(W: np.ndarray) -> np.ndarray:
+    """Binary matrix marking the nonzero entries."""
     W = np.asarray(W, dtype=np.float64)
     _cells(W)  # shape check
-    return (np.abs(W) > eps).astype(np.float64)
+    return (np.abs(W) > 0.0).astype(np.float64)
 
 
 def keep_top2(values: np.ndarray) -> np.ndarray:
     """Boolean mask keeping the 2 largest values of every aligned 4-cell.
 
-    Ties are broken stably: among equal values the lowest column index is
-    dropped first.
+    Ties are broken as in cells.descending_order: of equal values the lower
+    column is kept, the same two weights the cell proxes keep.
     """
     values = np.asarray(values, dtype=np.float64)
-    order = np.argsort(_cells(values), axis=1, kind="stable")
-    keep = np.ones(order.shape, dtype=bool)
-    np.put_along_axis(keep, order[:, :2], False, axis=1)
+    order = descending_order(_cells(values))
+    keep = np.zeros(order.shape, dtype=bool)
+    np.put_along_axis(keep, order[:, :2], True, axis=1)
     return keep.reshape(values.shape)
 
 
@@ -212,7 +212,7 @@ def _check_count(name, value):
 def _check_schedule(sched, cfg):
     """Raise ValueError unless the penalty starts positive and grows (else the
     loop can never sparsify) and the step counts are nonnegative integers."""
-    lam0 = sched.lambda0_tilde if sched.adaptive else sched.lambda0
+    lam0 = sched.lambda0 if sched.lambda0_tilde is None else sched.lambda0_tilde
     if not lam0 > 0:
         raise ValueError(f"initial penalty must be positive, got {lam0}")
     if not sched.beta > 1:
@@ -253,7 +253,7 @@ def proximal_prune_loop(W_star, H, sched, cfg, cell_prox):
     trace = []
     k = 0
     lam = 0.0
-    while not is_24_sparse(W, 0.0):
+    while not is_24_sparse(W):
         if k >= cfg.max_iter:
             break
         W = W - (2.0 * eta) * R
@@ -264,12 +264,12 @@ def proximal_prune_loop(W_star, H, sched, cfg, cell_prox):
         trace.append((k, float(np.vdot(W - W_t, R))))
 
     terminated_by = "sparsity_reached"
-    if not is_24_sparse(W, 0.0):
+    if not is_24_sparse(W):
         terminated_by = "max_iter"
         W = clamp_top2(W)
         trace.append((k, layer_loss(W, W_t, H_t)))
 
-    mask = mask_of(W, 0.0)
+    mask = mask_of(W)
     W, steps = masked_gd(W, W_t, H_t, mask, cfg.gd_steps, eta)
     trace.append((k + steps, layer_loss(W, W_t, H_t)))
 

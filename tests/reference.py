@@ -3,8 +3,10 @@
 _masked_least_squares_loss refits one row on a fixed support by solving its
 least-squares normal equations; brute_force_mask_search enumerates every
 2:4 mask of a tiny instance with that refit. brute_force_prox_oracle is a
-grid-search reference for the sorted cell prox, and kkt_check tests a cell
-for first-order optimality.
+grid-search reference for the sorted cell prox, prox_enumerate_ipm the same
+prox with the interior-point case solver, and kkt_check tests a cell for
+first-order optimality. regularizer_rNM is the general N:M penalty,
+loss_gradient the gradient of the layer loss, and is_psd a spectrum test.
 """
 
 from dataclasses import dataclass
@@ -12,7 +14,59 @@ from itertools import combinations, product
 
 import numpy as np
 
-from prune24.cells import _check_sorted, _grad_rows
+from prune24.cells import (
+    _CASE_TAGS,
+    _CASES,
+    ProxResult,
+    _check_lam,
+    _check_sorted,
+    _grad_rows,
+    _pick_case,
+    solve_case_ipm,
+)
+from prune24.linalg import _check_shapes
+
+
+def regularizer_rNM(w: np.ndarray, N: int, M: int) -> float:
+    """Sum over all (N+1)-subsets of the product of absolute entries.
+
+    Zero exactly when w has at most N nonzeros, which is what makes it a
+    structured-sparsity penalty.
+    """
+    w = np.asarray(w, dtype=np.float64)
+    if not 1 <= N < M:
+        raise ValueError(f"need 1 <= N < M, got N={N} M={M}")
+    if w.shape != (M,):
+        raise ValueError(f"expected a length-{M} vector, got shape {w.shape}")
+    a = np.abs(w)
+    return float(sum(np.prod(a[list(S)]) for S in combinations(range(M), N + 1)))
+
+
+def loss_gradient(W: np.ndarray, W_star: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """Gradient of layer_loss in W: 2 (W - W*) H."""
+    W = np.asarray(W, dtype=np.float64)
+    W_star = np.asarray(W_star, dtype=np.float64)
+    _check_shapes(W, W_star, H)
+    return 2.0 * ((W - W_star) @ H)
+
+
+def is_psd(M: np.ndarray, tol: float = 1e-9) -> bool:
+    """True iff the smallest eigenvalue of symmetric M is >= -tol."""
+    eigs = np.linalg.eigvalsh(np.asarray(M, dtype=np.float64))
+    return bool(eigs[0] >= -tol)
+
+
+def prox_enumerate_ipm(z, lam) -> ProxResult:
+    """prox_enumerate with solve_case_ipm solving the 3-sparse and dense
+    cases: the cross-check of the gradient solver on whole cells."""
+    Z = _check_sorted(z)[None, :]
+    _check_lam(lam)
+    cands = []
+    for case in _CASES:
+        w, _, _ = solve_case_ipm(Z[0], lam, case)
+        cands += [np.zeros((1, 4)) if w is None else w[None, :], np.array([w is not None])]
+    W, choice, F = _pick_case(Z, lam, *cands)
+    return ProxResult(W[0], _CASE_TAGS[choice[0]], float(F[0]))
 
 
 def _masked_least_squares_loss(w_star, H, keep):

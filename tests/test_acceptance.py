@@ -19,11 +19,16 @@ from prune24.cells import (
     solve_case_ipm,
 )
 from prune24.harness import reg_path_sweep, run_benchmark, toy_problem
-from prune24.linalg import is_psd, layer_loss
+from prune24.linalg import layer_loss
 from prune24.matio import read_matrix, write_matrix
 from prune24.pruner import prune_prox
 
-from reference import brute_force_mask_search, brute_force_prox_oracle
+from reference import (
+    brute_force_mask_search,
+    brute_force_prox_oracle,
+    is_psd,
+    prox_enumerate_ipm,
+)
 
 LAMBDA_GRID = (0.01, 0.1, 1.0, 10.0)
 
@@ -44,7 +49,7 @@ def cell_batch():
     for i in range(1000):
         z = np.sort(np.abs(rng.normal(size=4)))[::-1].copy()
         lam = LAMBDA_GRID[i % 4]
-        batch.append((z, lam, prox_enumerate(z, lam, backend="gd")))
+        batch.append((z, lam, prox_enumerate(z, lam)))
     return batch
 
 
@@ -120,7 +125,7 @@ def test_criterion_3_prox_correctness(cell_batch):
         worst_rel = max(worst_rel, rel)
         if f_o < res.objective - 1e-6:
             oracle_beats += 1
-        res_ipm = prox_enumerate(z, lam, backend="ipm")
+        res_ipm = prox_enumerate_ipm(z, lam)
         worst_backend = max(worst_backend, float(np.linalg.norm(res.w - res_ipm.w)))
         for case in ("three_sparse", "dense"):
             wg, _, _ = solve_case_gd(z, lam, case)

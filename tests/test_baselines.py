@@ -85,7 +85,7 @@ def test_sparsegpt_output_exactly_sparse_with_correlations():
     W_star = rng.normal(size=(4, 16))
     H = hessian_from_data(rng.normal(size=(16, 32)))
     W, mask = sparsegpt_prune(W_star, H)
-    assert is_24_sparse(W, eps=0.0)
+    assert is_24_sparse(W)
     assert np.all(W[mask == 0.0] == 0.0)
 
 
@@ -186,7 +186,7 @@ def test_masked_gd_after_baselines_never_hurts():
 def test_simple_reg_r1_toy_reaches_exact_sparsity():
     W_star, H = toy_problem()
     W, mask, report = simple_reg_prune(W_star, H, "R1")
-    assert is_24_sparse(W, eps=0.0)
+    assert is_24_sparse(W)
     assert report.terminated_by == "sparsity_reached"
     # the closed-form penalties commit per cell and miss the correlated fix
     assert layer_loss(W, W_star, H) == pytest.approx(16.0, abs=1e-6)
@@ -197,7 +197,7 @@ def test_simple_reg_r0_one_application_when_threshold_exceeded():
     sched = LambdaSchedule(lambda0=1e4)  # above 0.5 * z3^2 for every cell
     W, _, report = simple_reg_prune(W_star, H, "R0", sched=sched)
     assert report.iterations == 1
-    assert is_24_sparse(W, eps=0.0)
+    assert is_24_sparse(W)
 
 
 def test_simple_reg_r2_always_hits_iteration_cap():
@@ -205,7 +205,7 @@ def test_simple_reg_r2_always_hits_iteration_cap():
     cfg = PruneConfig(max_iter=60, gd_steps=100)
     W, _, report = simple_reg_prune(W_star, H, "R2", cfg=cfg)
     assert report.terminated_by == "max_iter"
-    assert is_24_sparse(W, eps=0.0)  # clamped at the cap
+    assert is_24_sparse(W)  # clamped at the cap
 
 
 def test_simple_reg_unknown_kind():

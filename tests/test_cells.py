@@ -15,15 +15,19 @@ from prune24.cells import (
     prox_cells,
     prox_enumerate,
     prox_simple_cells,
-    regularizer_rNM,
     solve_case_gd,
     solve_case_ipm,
 )
 from prune24.harness import SyntheticSpec, gen_synthetic
-from prune24.linalg import is_psd
 from prune24.pruner import LambdaSchedule, clamp_top2, is_24_sparse, prune_prox
 
-from reference import brute_force_prox_oracle, kkt_check
+from reference import (
+    brute_force_prox_oracle,
+    is_psd,
+    kkt_check,
+    prox_enumerate_ipm,
+    regularizer_rNM,
+)
 
 
 def sorted_abs(rng, scale=1.0):
@@ -200,7 +204,7 @@ def test_prox_cells_matches_oracle_and_ipm_on_polish_cells(z, lam):
     w = prox_cells(z[None, :], lam)[0]
     _, fo = brute_force_prox_oracle(z, lam)
     assert abs(cell_objective(w, z, lam) - fo) <= 1e-9
-    assert np.allclose(w, prox_enumerate(z, lam, backend="ipm").w, atol=1e-9)
+    assert np.allclose(w, prox_enumerate_ipm(z, lam).w, atol=1e-9)
 
 
 @pytest.mark.parametrize("z, lam", POLISH_CELLS)
@@ -208,7 +212,7 @@ def test_failed_polish_takes_the_ipm_verdict(monkeypatch, z, lam):
     # a stalled row whose polish fails gets the IPM's verdict on its case,
     # on the scalar and the batched path alike
     z = np.array(z)
-    expect = prox_enumerate(z, lam, backend="ipm")
+    expect = prox_enumerate_ipm(z, lam)
     case = expect.case_tag
     pinned = case == "three_sparse"
     w_ipm, _, _ = solve_case_ipm(z, lam, case)

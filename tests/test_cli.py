@@ -46,7 +46,7 @@ def test_prune_all_methods(tmp_path, instance, method):
     assert code == 0
     W = load_matrix(out)
     M = load_matrix(mask)
-    assert is_24_sparse(W, eps=0.0)
+    assert is_24_sparse(W)
     assert set(np.unique(M)) <= {0.0, 1.0}
     assert np.array_equal((np.abs(W) > 0).astype(float), M)
 
@@ -231,7 +231,7 @@ def test_prune_l2_steep_schedule_runs_out_budget(tmp_path, instance):
                  "--out", str(out), "--mask-out", str(tmp_path / "m.bin"), "--beta", "1.2"])
     assert code == 0
     W = load_matrix(out)
-    assert np.all(np.isfinite(W)) and is_24_sparse(W, eps=0.0)
+    assert np.all(np.isfinite(W)) and is_24_sparse(W)
 
 
 @pytest.mark.parametrize("method, flags", [

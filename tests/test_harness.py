@@ -11,7 +11,9 @@ from prune24.harness import (
     run_benchmark,
     toy_problem,
 )
-from prune24.linalg import is_psd, layer_loss
+from prune24.linalg import layer_loss
+
+from reference import is_psd
 
 
 def test_toy_problem_structure():

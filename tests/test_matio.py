@@ -102,3 +102,24 @@ def test_extension_dispatch(tmp_path):
     save_matrix(tmp_path / "a.bin", mat)
     assert np.array_equal(load_matrix(tmp_path / "a.csv"), mat)
     assert np.array_equal(load_matrix(tmp_path / "a.bin"), mat)
+
+
+@pytest.mark.parametrize("shape", [(2, 0), (0, 3), (0, 0)])
+@pytest.mark.parametrize("ext", ["csv", "bin"])
+def test_empty_matrix_roundtrip(tmp_path, shape, ext):
+    path = tmp_path / f"empty.{ext}"
+    save_matrix(path, np.zeros(shape))
+    assert load_matrix(path).shape == shape
+
+
+def test_csv_with_no_columns_rejects_values_and_trailing_data(tmp_path):
+    path = tmp_path / "cols0.csv"
+    path.write_text("2,0\n\n1.0\n")
+    with pytest.raises(ValueError, match="row 1 has 1 values, expected 0"):
+        read_matrix_csv(path)
+    path.write_text("2,0\n\n\n1.0\n")
+    with pytest.raises(ValueError, match="trailing data"):
+        read_matrix_csv(path)
+    path.write_text("2,0\n\n")
+    with pytest.raises(ValueError, match="missing rows"):
+        read_matrix_csv(path)

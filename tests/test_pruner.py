@@ -11,6 +11,8 @@ from prune24.linalg import hessian_from_data, layer_loss, max_eigenvalue, precon
 from prune24.pruner import (
     LambdaSchedule,
     PruneConfig,
+    _CHECK_ROWS,
+    check_problem,
     clamp_top2,
     is_24_sparse,
     mask_of,
@@ -31,13 +33,13 @@ def test_schedule_defaults():
 
 
 def test_schedule_adaptive():
-    s = LambdaSchedule(adaptive=True, lambda0_tilde=1e-3)
+    s = LambdaSchedule(lambda0_tilde=1e-3)
     W = np.full((1, 4), 0.02)
     assert schedule_lambda(s, 0, W) == pytest.approx(0.05)
 
 
 def test_schedule_adaptive_errors():
-    s = LambdaSchedule(adaptive=True, lambda0_tilde=1e-3)
+    s = LambdaSchedule(lambda0_tilde=1e-3)
     with pytest.raises(ValueError):
         schedule_lambda(s, 0, np.zeros((1, 4)))
     with pytest.raises(ValueError):
@@ -74,15 +76,34 @@ def test_mask_requires_multiple_of_four():
 
 
 def test_mask_eps_threshold():
-    W = np.array([[1e-9, 2.0, 1e-3, 1.0]])
-    assert np.array_equal(mask_of(W, eps=1e-6), [[0, 1, 1, 1]])
-    assert is_24_sparse(W, eps=1e-2)
+    # the threshold is exact zero: a tiny entry counts, a signed zero does not
+    W = np.array([[1e-300, 2.0, -0.0, 0.0]])
+    assert np.array_equal(mask_of(W), [[1, 1, 0, 0]])
+    assert is_24_sparse(W)
+    assert not is_24_sparse(np.array([[1e-300, 2.0, -1e-300, 0.0]]))
 
 
 def test_clamp_top2_keeps_largest_and_breaks_ties_low_index_first():
     W = np.array([[3.0, -4.0, 1.0, 2.0], [1.0, 1.0, 1.0, 1.0]])
     out = clamp_top2(W)
-    assert np.array_equal(out, [[3.0, -4.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0]])
+    assert np.array_equal(out, [[3.0, -4.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0]])
+
+
+def test_every_top2_rule_keeps_the_lower_column_of_a_tie():
+    # clamp_top2 (the max_iter clamp; through keep_top2 also wanda and
+    # sparsegpt) and the sort reduction of the cell proxes keep the same two
+    # weights of a tied cell
+    C = np.array([[1.0, 1.0, 1.0, 1.0], [0.0, 5.0, 5.0, 5.0],
+                  [3.0, 2.0, 2.0, 1.0], [-2.0, 2.0, -2.0, 1.0]])
+    expect = np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 5.0, 5.0, 0.0],
+                       [3.0, 2.0, 0.0, 0.0], [-2.0, 2.0, 0.0, 0.0]])
+    assert np.array_equal(clamp_top2(C), expect)
+    assert np.array_equal(prox_cells(C, sys.float_info.max), expect)
+    assert np.array_equal(prox_simple_cells(C, 1e300, "R0"), expect)
+    for prune in (wanda_prune, sparsegpt_prune):
+        W, mask = prune(C.reshape(1, 16), np.eye(16))
+        assert np.array_equal(W, expect.reshape(1, 16)), prune.__name__
+        assert np.array_equal(mask, expect.reshape(1, 16) != 0.0), prune.__name__
 
 
 def test_masked_gd_diagonal_recovers_kept_weights():
@@ -269,7 +290,7 @@ def test_prune_prox_output_exactly_sparse_and_respects_mask():
     W_star = rng.normal(size=(2, 16))
     H = hessian_from_data(rng.normal(size=(16, 40)))
     W, mask, report = prune_prox(W_star, H)
-    assert is_24_sparse(W, eps=0.0)
+    assert is_24_sparse(W)
     assert np.array_equal(mask_of(W), mask)
     assert np.all(W[mask == 0.0] == 0.0)
     # the masked gradient steps do not raise the loss at which the mask froze
@@ -369,7 +390,7 @@ def test_layer_loss_runs_only_for_the_exit_entries(monkeypatch, run, calls):
 @pytest.mark.parametrize("sched, cfg", [
     (LambdaSchedule(lambda0=0.0), PruneConfig()),
     (LambdaSchedule(lambda0=-0.01), PruneConfig()),
-    (LambdaSchedule(adaptive=True, lambda0_tilde=0.0), PruneConfig()),
+    (LambdaSchedule(lambda0_tilde=0.0), PruneConfig()),
     (LambdaSchedule(beta=1.0), PruneConfig()),
     (LambdaSchedule(beta=0.9), PruneConfig()),
     (LambdaSchedule(), PruneConfig(max_iter=-1)),
@@ -438,7 +459,7 @@ def test_prune_prox_max_iter_fallback_clamps():
     W, mask, report = prune_prox(W_star, H, cfg=cfg)
     assert report.terminated_by == "max_iter"
     assert report.iterations == 3
-    assert is_24_sparse(W, eps=0.0)
+    assert is_24_sparse(W)
     assert np.array_equal(mask_of(W), mask)
 
 
@@ -449,6 +470,22 @@ def test_proximal_pipeline_rejects_non_finite_input(bad, where):
         prune_prox(W_star, H)
     with pytest.raises(ValueError, match=message):
         simple_reg_prune(W_star, H, "R1")
+
+
+def test_symmetry_scan_covers_every_block_of_h():
+    # one entry of H off its mirror in the first, a middle and the last row
+    # block of the scan, above and below the diagonal; d = 68 leaves the
+    # last block partial
+    d = 68
+    assert d % _CHECK_ROWS != 0
+    rng = np.random.default_rng(68)
+    W_star, H = rng.normal(size=(2, d)), hessian_from_data(rng.normal(size=(d, 80)))
+    check_problem(W_star, H)
+    for i, j in [(0, 5), (5, 0), (33, 40), (40, 33), (64, 67), (67, 64)]:
+        bad = H.copy()
+        bad[i, j] += 1e-3
+        with pytest.raises(ValueError, match="not symmetric"):
+            check_problem(W_star, bad)
 
 
 def test_proximal_pipeline_rejects_an_indefinite_hessian():
@@ -473,7 +510,7 @@ def _rel_loss(W, W_star, H):
     return layer_loss(W, W_star, H) / layer_loss(np.zeros_like(W_star), W_star, H)
 
 
-_ADAPTIVE = LambdaSchedule(adaptive=True)
+_ADAPTIVE = LambdaSchedule(lambda0_tilde=1e-3)
 _SCALE_INSTANCES = {
     "toy": toy_problem(),
     "synth16": gen_synthetic(SyntheticSpec(d=16, alpha=0.5, seed=3)),
