@@ -74,9 +74,30 @@ def _check_cells(cells):
 
 def descending_order(values: np.ndarray) -> np.ndarray:
     """Per row, the column indices by descending value, the lower column first
-    in a tie: the one order of pos_sort_cells and pruner.keep_top2, so every
-    method keeps the same two weights of a tied cell."""
+    in a tie: the order of pos_sort_cells, and the order whose first two
+    columns _top2_mask keeps, so every method keeps the same two weights of a
+    tied cell."""
     return np.argsort(-values, axis=1, kind="stable")
+
+
+def _majority(x, y, z):
+    return (x & y) | (z & (x | y))
+
+
+def _top2_mask(values: np.ndarray) -> np.ndarray:
+    """Boolean (n, 4) mask of each row's two largest entries, without a sort.
+
+    Column i is kept when it beats at least two of the other three, where i
+    beats j > i on values[i] >= values[j] (the lower column wins a tie). The
+    six comparisons order the row totally, so the kept set is that of the
+    first two columns of descending_order, on ties, signed zeros and
+    infinities too. values must hold no NaN, which no comparison orders.
+    """
+    a0, a1, a2, a3 = values.T
+    c01, c02, c03 = a0 >= a1, a0 >= a2, a0 >= a3
+    c12, c13, c23 = a1 >= a2, a1 >= a3, a2 >= a3
+    return np.stack([_majority(c01, c02, c03), _majority(~c01, c12, c13),
+                     _majority(~c02, ~c12, c23), _majority(~c03, ~c13, ~c23)], axis=1)
 
 
 def pos_sort_cells(cells: np.ndarray):
@@ -656,19 +677,23 @@ def prox_simple_cells(cells, lam, kind) -> np.ndarray:
 
     R0 counts nonzeros past the second largest magnitude (hard threshold),
     R1 sums them (soft threshold), R2 sums their squares (shrinkage). The
-    two largest-magnitude entries are never touched. Raises ValueError on
-    an unknown kind and on the bad cells or lam that prox_cells rejects.
+    two largest-magnitude entries (the lower column of a tie) are never
+    touched. Raises ValueError on an unknown kind and on the bad cells or
+    lam that prox_cells rejects.
     """
-    Z, order, signs = pos_sort_cells(cells)
+    cells = _check_cells(cells)
     _check_lam(lam)
-    out = Z.copy()
-    tail = Z[:, 2:]
+    A = np.abs(cells)
     if kind == "R0":
-        out[:, 2:] = np.where(lam > 0.5 * tail ** 2, 0.0, tail)
+        # A ** 2 may overflow to inf on a kept entry; inf keeps the entry too
+        with np.errstate(over="ignore"):
+            out = np.where(lam > 0.5 * A ** 2, 0.0, A)
     elif kind == "R1":
-        out[:, 2:] = np.maximum(tail - lam, 0.0)
+        out = np.maximum(A - lam, 0.0)
     elif kind == "R2":
-        out[:, 2:] = tail / (1.0 + lam)
+        out = A / (1.0 + lam)
     else:
         raise ValueError(f"unknown kind {kind!r}")
-    return inv_pos_sort_cells(out, order, signs)
+    out = np.where(_top2_mask(A), A, out)
+    # not copysign: a -0.0 cell must come out +0.0, as |cell| times its sign
+    return np.where(cells < 0, -out, out)

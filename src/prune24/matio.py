@@ -13,7 +13,8 @@ columns). Values are written with repr precision so the text
 roundtrip reproduces the exact doubles.
 
 Both readers raise ValueError on data past the declared matrix; a CSV may
-end in blank lines.
+end in blank lines. A CSV value that is not a number raises ValueError
+naming its row and column (counted from 0, the header not counted).
 """
 
 import struct
@@ -93,10 +94,17 @@ def read_matrix_csv(path) -> np.ndarray:
             vals = text.split(",") if text or cols else []
             if len(vals) != cols:
                 raise ValueError(f"row {r} has {len(vals)} values, expected {cols}")
-            out[r] = [float(v) for v in vals]
+            out[r] = [_csv_value(v, r, c) for c, v in enumerate(vals)]
         if any(line.strip() for line in fh):
             raise ValueError(f"trailing data after the {rows} declared rows")
     return out
+
+
+def _csv_value(text, r, c):
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"row {r}, column {c}: {text!r} is not a number") from None
 
 
 def load_matrix(path) -> np.ndarray:

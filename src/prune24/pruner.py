@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cells import descending_order, prox_cells
+from .cells import _top2_mask, prox_cells
 from .linalg import layer_loss, max_eigenvalue, precondition, unprecondition
 
 
@@ -76,29 +76,34 @@ def _cells(W: np.ndarray) -> np.ndarray:
 
 
 def is_24_sparse(W: np.ndarray) -> bool:
-    """True iff every aligned 4-cell has at most 2 nonzero entries."""
-    counts = np.sum(np.abs(_cells(np.asarray(W, dtype=np.float64))) > 0.0, axis=1)
-    return bool(np.all(counts <= 2))
+    """True iff every aligned 4-cell has at most 2 nonzero entries (an entry
+    is nonzero when it is not equal to zero, so a NaN counts)."""
+    cells = _cells(np.asarray(W, dtype=np.float64))
+    # more than half the entries nonzero puts three in some cell
+    if np.count_nonzero(cells) > cells.size // 2:
+        return False
+    return bool(np.all(np.sum(cells != 0.0, axis=1) <= 2))
 
 
 def mask_of(W: np.ndarray) -> np.ndarray:
-    """Binary matrix marking the nonzero entries."""
+    """Binary matrix marking the nonzero entries (NaN included)."""
     W = np.asarray(W, dtype=np.float64)
     _cells(W)  # shape check
-    return (np.abs(W) > 0.0).astype(np.float64)
+    return (W != 0.0).astype(np.float64)
 
 
 def keep_top2(values: np.ndarray) -> np.ndarray:
     """Boolean mask keeping the 2 largest values of every aligned 4-cell.
 
     Ties are broken as in cells.descending_order: of equal values the lower
-    column is kept, the same two weights the cell proxes keep.
+    column is kept, the same two weights the cell proxes keep. Raises
+    ValueError on a NaN, which has no place in that order.
     """
     values = np.asarray(values, dtype=np.float64)
-    order = descending_order(_cells(values))
-    keep = np.zeros(order.shape, dtype=bool)
-    np.put_along_axis(keep, order[:, :2], True, axis=1)
-    return keep.reshape(values.shape)
+    cells = _cells(values)
+    if np.isnan(cells).any():
+        raise ValueError("cannot rank a cell holding NaN")
+    return _top2_mask(cells).reshape(values.shape)
 
 
 def clamp_top2(W: np.ndarray) -> np.ndarray:
@@ -253,8 +258,10 @@ def proximal_prune_loop(W_star, H, sched, cfg, cell_prox):
     trace = []
     k = 0
     lam = 0.0
+    terminated_by = "sparsity_reached"
     while not is_24_sparse(W):
         if k >= cfg.max_iter:
+            terminated_by = "max_iter"
             break
         W = W - (2.0 * eta) * R
         lam = schedule_lambda(sched, k, W_t)
@@ -263,9 +270,7 @@ def proximal_prune_loop(W_star, H, sched, cfg, cell_prox):
         R = W @ H_t - WsH
         trace.append((k, float(np.vdot(W - W_t, R))))
 
-    terminated_by = "sparsity_reached"
-    if not is_24_sparse(W):
-        terminated_by = "max_iter"
+    if terminated_by == "max_iter":
         W = clamp_top2(W)
         trace.append((k, layer_loss(W, W_t, H_t)))
 

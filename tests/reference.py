@@ -7,6 +7,9 @@ grid-search reference for the sorted cell prox, prox_enumerate_ipm the same
 prox with the interior-point case solver, and kkt_check tests a cell for
 first-order optimality. regularizer_rNM is the general N:M penalty,
 loss_gradient the gradient of the layer loss, and is_psd a spectrum test.
+prox_simple_cells_by_sort is the R0/R1/R2 prox through the sort reduction
+of the cell prox, which the sort-free prox_simple_cells must match bit for
+bit.
 """
 
 from dataclasses import dataclass
@@ -22,6 +25,8 @@ from prune24.cells import (
     _check_sorted,
     _grad_rows,
     _pick_case,
+    inv_pos_sort_cells,
+    pos_sort_cells,
     solve_case_ipm,
 )
 from prune24.linalg import _check_shapes
@@ -40,6 +45,25 @@ def regularizer_rNM(w: np.ndarray, N: int, M: int) -> float:
         raise ValueError(f"expected a length-{M} vector, got shape {w.shape}")
     a = np.abs(w)
     return float(sum(np.prod(a[list(S)]) for S in combinations(range(M), N + 1)))
+
+
+def prox_simple_cells_by_sort(cells, lam, kind) -> np.ndarray:
+    """prox_simple_cells computed on the |.|-descending stable sort of each
+    cell: the tail (the two smallest magnitudes) is thresholded or shrunk,
+    and the sort is undone."""
+    Z, order, signs = pos_sort_cells(cells)
+    _check_lam(lam)
+    out = Z.copy()
+    tail = Z[:, 2:]
+    if kind == "R0":
+        out[:, 2:] = np.where(lam > 0.5 * tail ** 2, 0.0, tail)
+    elif kind == "R1":
+        out[:, 2:] = np.maximum(tail - lam, 0.0)
+    elif kind == "R2":
+        out[:, 2:] = tail / (1.0 + lam)
+    else:
+        raise ValueError(f"unknown kind {kind!r}")
+    return inv_pos_sort_cells(out, order, signs)
 
 
 def loss_gradient(W: np.ndarray, W_star: np.ndarray, H: np.ndarray) -> np.ndarray:

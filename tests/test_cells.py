@@ -26,6 +26,7 @@ from reference import (
     is_psd,
     kkt_check,
     prox_enumerate_ipm,
+    prox_simple_cells_by_sort,
     regularizer_rNM,
 )
 
@@ -685,6 +686,42 @@ def test_prox_simple_keeps_leading_pair():
 def test_prox_simple_unknown_kind():
     with pytest.raises(ValueError):
         prox_simple_cells(np.array([[1.0, 0.5, 0.2, 0.1]]), 0.5, "R9")
+
+
+def _tied_cells(rng, n=2048):
+    """Random signed cells at scales e^-3 .. e^3, a quarter of them with
+    forced ties (columns 0 = 1, 2 = 3, 0 = 2) under mixed signs, exact
+    zeros and -0.0."""
+    C = rng.normal(size=(n, 4)) * np.exp(rng.uniform(-3.0, 3.0, size=(n, 1)))
+    q = n // 8
+    C[:q, 1] = -C[:q, 0]
+    C[q:2 * q, 3] = C[q:2 * q, 2]
+    C[2 * q:3 * q, 2] = -C[2 * q:3 * q, 0]
+    C[3 * q:4 * q, :2] = C[3 * q:4 * q, 2:]
+    zero = rng.random(size=C.shape) < 0.1
+    C[zero] = np.where(rng.random(size=C.shape) < 0.5, 0.0, -0.0)[zero]
+    return C
+
+
+@pytest.mark.parametrize("kind", ["R0", "R1", "R2"])
+def test_prox_simple_matches_the_sort_reference_bit_for_bit(kind):
+    rng = np.random.default_rng(150)
+    for lam in (0.0, 1e-3, 0.3, 1.0, 1e300, sys.float_info.max):
+        C = _tied_cells(rng)
+        assert np.signbit(C).any() and (C == 0).any()
+        out = prox_simple_cells(C, lam, kind)
+        assert out.tobytes() == prox_simple_cells_by_sort(C, lam, kind).tobytes(), lam
+
+
+def test_top2_mask_keeps_the_first_two_of_the_descending_order():
+    rng = np.random.default_rng(151)
+    A = np.abs(_tied_cells(rng))
+    A[rng.random(size=A.shape) < 0.05] = np.inf
+    A[:4] = [[np.inf] * 4, [0.0, np.inf, 0.0, np.inf], [-0.0, 0.0, -0.0, 0.0], [1.0] * 4]
+    for V in (A, -A, A * rng.choice([-1.0, 1.0], size=A.shape)):
+        expect = np.zeros(V.shape, dtype=bool)
+        np.put_along_axis(expect, cells.descending_order(V)[:, :2], True, axis=1)
+        assert np.array_equal(cells._top2_mask(V), expect)
 
 
 # ---------------------------------------------------------------------------

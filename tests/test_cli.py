@@ -314,3 +314,16 @@ def test_prune_rejects_weights_without_columns(tmp_path, capsys, method):
     assert err.startswith("error:") and "no columns" in err
     assert len(err.strip().splitlines()) == 1
     assert not out.exists()
+
+
+def test_prune_names_a_bad_csv_value(tmp_path, capsys):
+    (tmp_path / "w.csv").write_text("1,4\n1.0,2.0,abc,4.0\n")
+    save_matrix(tmp_path / "h.csv", np.eye(4))
+    out = tmp_path / "o.csv"
+    code = main(["prune", "--method", "wanda", "--weights", str(tmp_path / "w.csv"),
+                 "--hessian", str(tmp_path / "h.csv"), "--out", str(out),
+                 "--mask-out", str(tmp_path / "m.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "error: row 0, column 2: 'abc' is not a number\n"
+    assert not out.exists()

@@ -123,3 +123,15 @@ def test_csv_with_no_columns_rejects_values_and_trailing_data(tmp_path):
     path.write_text("2,0\n\n")
     with pytest.raises(ValueError, match="missing rows"):
         read_matrix_csv(path)
+
+
+@pytest.mark.parametrize("text, where", [
+    ("1,2\n1.0,abc\n", "row 0, column 1: 'abc' is not a number"),
+    ("2,1\n1.0\n\n", "row 1, column 0: '' is not a number"),  # a blank row of one column
+])
+def test_csv_bad_value_names_its_row_and_column(tmp_path, text, where):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError) as exc:
+        read_matrix_csv(path)
+    assert str(exc.value) == where

@@ -15,6 +15,7 @@ from prune24.pruner import (
     check_problem,
     clamp_top2,
     is_24_sparse,
+    keep_top2,
     mask_of,
     masked_gd,
     proximal_prune_loop,
@@ -73,6 +74,23 @@ def test_mask_requires_multiple_of_four():
         is_24_sparse(np.ones((1, 6)))
     with pytest.raises(ValueError):
         mask_of(np.ones((2, 5)))
+
+
+def test_is_24_sparse_counts_every_cell():
+    # half the entries nonzero passes the count, but one cell holds three
+    W = np.array([[1.0, 2.0, 3.0, 0.0, 4.0, 0.0, 0.0, 0.0]])
+    assert not is_24_sparse(W)
+    assert is_24_sparse(np.array([[1.0, 0.0, 3.0, 0.0, 0.0, 4.0, 0.0, 5.0]]))
+    assert is_24_sparse(np.zeros((0, 4)))
+
+
+def test_nan_counts_as_nonzero():
+    W = np.array([[np.nan, 2.0, 3.0, 0.0, 0.0, 0.0, 0.0, 0.0]])
+    assert not is_24_sparse(W)
+    assert not is_24_sparse(np.array([[np.nan, np.nan, np.nan, 0.0]]))
+    assert np.array_equal(mask_of(W), [[1, 1, 1, 0, 0, 0, 0, 0]])
+    with pytest.raises(ValueError, match="NaN"):
+        keep_top2(np.array([[1.0, np.nan, 0.5, 0.0]]))
 
 
 def test_mask_eps_threshold():
