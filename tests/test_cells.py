@@ -689,9 +689,10 @@ def test_prox_simple_unknown_kind():
 
 
 def _tied_cells(rng, n=2048):
-    """Random signed cells at scales e^-3 .. e^3, a quarter of them with
-    forced ties (columns 0 = 1, 2 = 3, 0 = 2) under mixed signs, exact
-    zeros and -0.0."""
+    """Random signed cells at scales e^-3 .. e^3, half of them with forced
+    magnitude ties (columns 0 = 1, 2 = 3, 0 = 2, and both 0 = 2 and 1 = 3)
+    under mixed signs, and about a tenth of the entries exact zeros or
+    -0.0."""
     C = rng.normal(size=(n, 4)) * np.exp(rng.uniform(-3.0, 3.0, size=(n, 1)))
     q = n // 8
     C[:q, 1] = -C[:q, 0]
