@@ -712,6 +712,11 @@ def test_prox_simple_matches_the_sort_reference_bit_for_bit(kind):
         assert np.signbit(C).any() and (C == 0).any()
         out = prox_simple_cells(C, lam, kind)
         assert out.tobytes() == prox_simple_cells_by_sort(C, lam, kind).tobytes(), lam
+    # kept entries whose square overflows raise nothing, as the sort never squared them
+    big = np.array([[1e200, -1e300, 1.0, -0.5]])
+    with np.errstate(all="raise"):
+        out = prox_simple_cells(big, 0.3, kind)
+    assert out.tobytes() == prox_simple_cells_by_sort(big, 0.3, kind).tobytes()
 
 
 def test_top2_mask_keeps_the_first_two_of_the_descending_order():
