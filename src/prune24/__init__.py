@@ -9,12 +9,7 @@ closed-form shrinkage penalties and masked-gradient post-optimization are
 included for comparison.
 """
 
-from .baselines import (
-    simple_reg_prune,
-    sparsegpt_prune,
-    wanda_prune,
-    wanda_scores,
-)
+from .baselines import simple_reg_prune, sparsegpt_prune, wanda_prune
 from .cells import (
     ProxResult,
     cell_objective,
@@ -23,7 +18,6 @@ from .cells import (
     lambda_thresholds,
     prox_cells,
     prox_enumerate,
-    solve_case_gd,
     solve_case_ipm,
 )
 from .harness import (
@@ -100,13 +94,11 @@ __all__ = [
     "save_matrix",
     "schedule_lambda",
     "simple_reg_prune",
-    "solve_case_gd",
     "solve_case_ipm",
     "sparsegpt_prune",
     "toy_problem",
     "unprecondition",
     "wanda_prune",
-    "wanda_scores",
     "write_matrix",
     "write_matrix_csv",
 ]

@@ -18,19 +18,15 @@ from .cells import prox_simple_cells
 from .pruner import check_problem, keep_top2, mask_of, proximal_prune_loop
 
 
-def wanda_scores(W_star: np.ndarray, H: np.ndarray) -> np.ndarray:
-    """Score matrix |W*_ij| * sqrt(H_jj)."""
-    diag = np.maximum(np.diag(np.asarray(H, dtype=np.float64)), 0.0)
-    return np.abs(np.asarray(W_star, dtype=np.float64)) * np.sqrt(diag)[None, :]
-
-
 def wanda_prune(W_star: np.ndarray, H: np.ndarray):
-    """Keep the 2 highest-scoring weights per cell at their original values.
+    """Keep the 2 weights per cell with the highest score |W*_ij| sqrt(H_jj)
+    at their original values.
 
     Raises the ValueErrors of check_problem.
     """
     W_star, H = check_problem(W_star, H)
-    mask = keep_top2(wanda_scores(W_star, H)).astype(np.float64)
+    scores = np.abs(W_star) * np.sqrt(np.maximum(np.diag(H), 0.0))[None, :]
+    mask = keep_top2(scores).astype(np.float64)
     return W_star * mask, mask
 
 

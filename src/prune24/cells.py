@@ -27,11 +27,10 @@ prox body, runs both in one pass over the sorted cells stacked twice, one
 copy pinned: ``prox_cells`` (the pipeline's
 prox, on signed cells; one cell is a one-row call) reduces to it through
 ``pos_sort_cells`` and ``inv_pos_sort_cells``, and ``prox_enumerate``
-calls it on one sorted cell. ``solve_case_gd`` is the case solve on one
-cell. Every entry point raises ValueError unless lam is finite and
-nonnegative and the cells are finite. A lam up to the largest finite float
-raises no numpy overflow or invalid-value warning, and neither do cells up
-to about 1e154, where the solver's pairwise products overflow.
+calls it on one sorted cell. Every entry point raises ValueError unless lam
+is finite and nonnegative and the cells are finite. A lam up to the largest
+finite float raises no numpy overflow or invalid-value warning, and neither
+do cells up to about 1e154, where the solver's pairwise products overflow.
 
 An interior-point solver with a log-det barrier on the objective's Hessian
 (``solve_case_ipm``) decides the rare stalled case whose Newton polish
@@ -180,20 +179,17 @@ def _case_hessian(w, lam, dim):
 # projected gradient solver (batched over cells)
 
 
-def _gd_finish_row(w, z, lam, pinned, eta, step_tol, gcap, k, trajectory=None):
+def _gd_finish_row(w, z, lam, pinned, eta, step_tol, gcap, k):
     """The batched loop's step on one cell in Python floats, from the state
     it has after k iterations (iterate w, input z, pin, eta, step tolerance
     and abort cap). Every IEEE operation is the batch's, in the same order:
     the squared norm sums as einsum does over two or more columns, and
     ``x if x > 0.0 else 0.0`` is np.maximum(x, 0.0) for every x but NaN
     (``max(x, 0.0)`` would keep a -0.0). Returns (w, outcome, iters),
-    outcome indexing (converged, aborted, stalled); ``trajectory``, if
-    given, collects every iterate.
+    outcome indexing (converged, aborted, stalled).
     """
     w1, w2, w3, w4 = w
     z1, z2, z3, z4 = z
-    if trajectory is not None:
-        trajectory.append(np.array([w1, w2, w3, w4]))
     while k < DEFAULT_MAX_ITER:
         k += 1
         s12, p12, s34, p34 = w1 + w2, w1 * w2, w3 + w4, w3 * w4
@@ -213,8 +209,6 @@ def _gd_finish_row(w, z, lam, pinned, eta, step_tol, gcap, k, trajectory=None):
         conv = (abs(n1 - w1) <= step_tol and abs(n2 - w2) <= step_tol
                 and abs(n3 - w3) <= step_tol and abs(n4 - w4) <= step_tol)
         w1, w2, w3, w4 = n1, n2, n3, n4
-        if trajectory is not None:
-            trajectory.append(np.array([w1, w2, w3, w4]))
         if conv:
             return (w1, w2, w3, w4), 0, k
     return (w1, w2, w3, w4), 2, k
@@ -228,7 +222,7 @@ def _gd_finish_row(w, z, lam, pinned, eta, step_tol, gcap, k, trajectory=None):
 _SCALAR_ROWS = 16
 
 
-def _gd_solve_batched(Z, lam, pinned, trajectory=None):
+def _gd_solve_batched(Z, lam, pinned):
     """Projected GD from the origin on the (n, 4) sorted cells Z.
 
     A row whose pin (a boolean per row) is set solves the 3-sparse case by
@@ -241,8 +235,7 @@ def _gd_solve_batched(Z, lam, pinned, trajectory=None):
     soon as its gradient norm strictly increases between consecutive
     iterates, and converges once its projected step divided by its eta is
     within the tolerance. Once at most _SCALAR_ROWS cells are live, each
-    finishes in _gd_finish_row, bit for bit as the batch would finish it; a
-    call with a ``trajectory`` (row 0's iterates) runs wholly there.
+    finishes in _gd_finish_row, bit for bit as the batch would finish it.
     Returns (W, converged, aborted, stalled, iters).
     """
     Z = np.asarray(Z, dtype=np.float64)
@@ -275,7 +268,6 @@ def _gd_solve_batched(Z, lam, pinned, trajectory=None):
         gcap[done] = np.inf  # a frozen cell must not abort on its next gradient
         return out.size
 
-    batch_rows = n if trajectory is not None else _SCALAR_ROWS
     k = 0
     # Near the largest float lam the penalty terms overflow to inf: an
     # infinite gradient norm aborts its cell, and the cell then sits at the
@@ -283,7 +275,7 @@ def _gd_solve_batched(Z, lam, pinned, trajectory=None):
     with np.errstate(over="ignore"):
         eta = 1.0 / (1.0 + 3.0 * np.minimum(lam * (Zl[0] + Zl[1]), 1.0))
         step_tol = DEFAULT_TOL * np.maximum(1.0, Zl[0]) * eta
-        while live > batch_rows and k < DEFAULT_MAX_ITER:
+        while live > _SCALAR_ROWS and k < DEFAULT_MAX_ITER:
             k += 1
             # g_i = w_i - z_i + lam * e2(the other three coordinates); for w1
             # that is w2 (w3 + w4) + w3 w4, and likewise within the pairs
@@ -321,8 +313,7 @@ def _gd_solve_batched(Z, lam, pinned, trajectory=None):
         out = idx[j]
         W_out[out], outcome, iters[out] = _gd_finish_row(
             W[:, j].tolist(), Zl[:, j].tolist(), lam, pin[j], float(eta[j]),
-            float(step_tol[j]), float(gcap[j]), k, trajectory if out == 0 else None,
-        )
+            float(step_tol[j]), float(gcap[j]), k)
         (converged, aborted, stalled)[outcome][out] = True
     return W_out, converged, aborted, stalled, iters
 
@@ -376,7 +367,7 @@ def _second_order_ok(w, lam, pinned):
     return bool(eigs[0] >= -_SECOND_ORDER_TOL)
 
 
-def _solve_case_rows(Z, lam, pinned, trajectory=None):
+def _solve_case_rows(Z, lam, pinned):
     """Solve a prox case on every row of an (n, 4) array of sorted cells:
     the 3-sparse case where the row's pin is set, the dense case elsewhere.
 
@@ -386,7 +377,7 @@ def _solve_case_rows(Z, lam, pinned, trajectory=None):
     positive; an invalid row's weights are zeroed. Returns (W, valid,
     aborted, iters).
     """
-    W, conv, aborted, stalled, iters = _gd_solve_batched(Z, lam, pinned, trajectory)
+    W, conv, aborted, stalled, iters = _gd_solve_batched(Z, lam, pinned)
     for idx in np.flatnonzero(stalled):
         pin = pinned[idx]
         tol_eff = DEFAULT_TOL * max(1.0, Z[idx, 0])
@@ -412,24 +403,6 @@ def _check_sorted(z):
     if z[3] < 0 or np.any(np.diff(z) > 0):
         raise ValueError(f"cell input must be sorted nonnegative, got {z}")
     return z
-
-
-def solve_case_gd(z, lam, case, trajectory=None):
-    """Solve one prox case by projected gradient descent.
-
-    Returns (w, aborted, iterations) where w is None when the case is ruled
-    out, either by the gradient-norm abort rule or because a coordinate that
-    must be strictly positive converged to zero. ``trajectory``, if given,
-    collects every GD iterate for convexity-region monitoring.
-    """
-    z = _check_sorted(z)
-    _check_lam(lam)
-    if case not in ("dense", "three_sparse"):
-        raise ValueError(f"unknown case {case!r}")
-    W, valid, aborted, iters = _solve_case_rows(
-        z[None, :], lam, np.array([case == "three_sparse"]), trajectory
-    )
-    return (W[0] if valid[0] else None), bool(aborted[0]), int(iters[0])
 
 
 # ---------------------------------------------------------------------------
@@ -647,24 +620,17 @@ def prox_cells(cells, lam) -> np.ndarray:
 # optimality diagnostics
 
 
-def lambda_thresholds(z, w123=None):
-    """Necessary regularization strengths for sparse critical points.
-
-    Returns (lam2, lam3): a 2-sparse solution requires lam >= z3/(z1 z2); a
-    3-sparse one requires lam >= z4/(w1 w2 + w2 w3 + w1 w3) for the 3-sparse
-    stationary weights (passing w123=z[:3] gives the weaker input-based
-    bound). lam3 is None when w123 is omitted.
+def lambda_thresholds(z):
+    """The 2-sparse threshold z3/(z1 z2) of the sorted nonnegative cell z,
+    as a float: a 2-sparse solution is critical only for lam at or above it.
+    Raises ValueError unless z is sorted, nonnegative and finite with
+    z1 z2 > 0.
     """
     z = _check_sorted(z)
     denom = z[0] * z[1]
     if denom == 0.0:
         raise ValueError("z1 * z2 must be positive")
-    lam2 = float(z[2] / denom)
-    lam3 = None
-    if w123 is not None:
-        w1, w2, w3 = (float(v) for v in np.asarray(w123).reshape(3))
-        lam3 = float(z[3] / (w1 * w2 + w2 * w3 + w1 * w3))
-    return lam2, lam3
+    return float(z[2] / denom)
 
 
 # ---------------------------------------------------------------------------

@@ -73,7 +73,7 @@ def reg_path_sweep(z, lam_grid):
     if len(lam_grid) < 2 or any(b <= a for a, b in zip(lam_grid, lam_grid[1:])):
         raise ValueError("lam_grid must be increasing with at least 2 points")
     Z, order, signs = pos_sort_cells(z)
-    lam2, _ = lambda_thresholds(Z[0])
+    lam2 = lambda_thresholds(Z[0])
     rows = []
     for lam in lam_grid:
         res = prox_enumerate(Z[0], lam)

@@ -9,7 +9,8 @@ first-order optimality. regularizer_rNM is the general N:M penalty,
 loss_gradient the gradient of the layer loss, and is_psd a spectrum test.
 prox_simple_cells_by_sort is the R0/R1/R2 prox through the sort reduction
 of the cell prox, which the sort-free prox_simple_cells must match bit for
-bit.
+bit. solve_case_gd is the pipeline's case solve on one sorted cell, and
+gd_iterates replays that solve's projected-GD iterates.
 """
 
 from dataclasses import dataclass
@@ -17,6 +18,7 @@ from itertools import combinations, product
 
 import numpy as np
 
+from prune24 import cells
 from prune24.cells import (
     _CASE_TAGS,
     _CASES,
@@ -91,6 +93,52 @@ def prox_enumerate_ipm(z, lam) -> ProxResult:
         cands += [np.zeros((1, 4)) if w is None else w[None, :], np.array([w is not None])]
     W, choice, F = _pick_case(Z, lam, *cands)
     return ProxResult(W[0], _CASE_TAGS[choice[0]], float(F[0]))
+
+
+def _case_input(z, lam, case):
+    z = _check_sorted(z)
+    _check_lam(lam)
+    if case not in _CASES:
+        raise ValueError(f"unknown case {case!r}")
+    return z, np.array([case == "three_sparse"])
+
+
+def solve_case_gd(z, lam, case):
+    """Solve one prox case of the sorted cell z as the pipeline does, by
+    cells._solve_case_rows on one row.
+
+    Returns (w, aborted, iterations) where w is None when the case is ruled
+    out, either by the gradient-norm abort rule or because a coordinate that
+    must be strictly positive converged to zero.
+    """
+    z, pinned = _case_input(z, lam, case)
+    W, valid, aborted, iters = cells._solve_case_rows(z[None, :], lam, pinned)
+    return (W[0] if valid[0] else None), bool(aborted[0]), int(iters[0])
+
+
+def gd_iterates(z, lam, case):
+    """The projected-GD iterates of one case solve of the sorted cell z, as
+    a (k + 1, 4) array from the origin on, for the kernel's k iterations.
+
+    cells._gd_solve_batched solves the cell for k; cells._gd_finish_row then
+    replays the solve one step per call, entered at its last iteration
+    (DEFAULT_MAX_ITER - 1) with no abort cap. The last replayed iterate must
+    equal the kernel's output bit for bit, so these are the kernel's own
+    iterates, on every way a row ends: converged, aborted (the kernel keeps
+    the iterate before the gradient grew) or stalled at the cap.
+    """
+    z, pinned = _case_input(z, lam, case)
+    W, _, _, _, iters = cells._gd_solve_batched(z[None, :], lam, pinned)
+    with np.errstate(over="ignore"):  # as in the kernel, near the largest float lam
+        eta = 1.0 / (1.0 + 3.0 * np.minimum(lam * (z[0] + z[1]), 1.0))
+    step_tol = cells.DEFAULT_TOL * np.maximum(1.0, z[0]) * eta
+    w, out = (0.0, 0.0, 0.0, 0.0), [np.zeros(4)]
+    for _ in range(iters[0]):
+        w, _, _ = cells._gd_finish_row(w, z.tolist(), float(lam), pinned[0], float(eta),
+                                       float(step_tol), np.inf, cells.DEFAULT_MAX_ITER - 1)
+        out.append(np.array(w))
+    assert out[-1].tobytes() == W[0].tobytes(), (z, lam, case)
+    return np.array(out)
 
 
 def _masked_least_squares_loss(w_star, H, keep):

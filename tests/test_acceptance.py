@@ -15,7 +15,6 @@ from prune24.cells import (
     hessian_f,
     prox_cells,
     prox_enumerate,
-    solve_case_gd,
     solve_case_ipm,
 )
 from prune24.harness import reg_path_sweep, run_benchmark, toy_problem
@@ -26,8 +25,10 @@ from prune24.pruner import prune_prox
 from reference import (
     brute_force_mask_search,
     brute_force_prox_oracle,
+    gd_iterates,
     is_psd,
     prox_enumerate_ipm,
+    solve_case_gd,
 )
 
 LAMBDA_GRID = (0.01, 0.1, 1.0, 10.0)
@@ -244,9 +245,7 @@ def test_criterion_7_gd_stays_in_convex_region(cell_batch):
         if res.case_tag != "dense":
             continue
         dense_count += 1
-        traj = []
-        solve_case_gd(z, lam, "dense", trajectory=traj)
-        for w in traj:
+        for w in gd_iterates(z, lam, "dense"):
             if not is_psd(hessian_f(w, lam), tol=1e-9):
                 exits += 1
                 break

@@ -1,12 +1,7 @@
 import numpy as np
 import pytest
 
-from prune24.baselines import (
-    simple_reg_prune,
-    sparsegpt_prune,
-    wanda_prune,
-    wanda_scores,
-)
+from prune24.baselines import simple_reg_prune, sparsegpt_prune, wanda_prune
 from prune24.harness import toy_problem
 from prune24.linalg import hessian_from_data, layer_loss
 from prune24.pruner import LambdaSchedule, PruneConfig, is_24_sparse, masked_gd
@@ -33,13 +28,22 @@ def test_wanda_identity_hessian_is_magnitude_pruning():
         assert kept_idx == top2
 
 
-def test_wanda_scores_depend_only_on_diag():
+def test_wanda_prune_depends_only_on_diag():
     rng = np.random.default_rng(41)
     W_star = rng.normal(size=(2, 8))
     H1 = np.diag(rng.uniform(0.5, 2.0, size=8))
     H2 = H1.copy()
     H2[0, 1] = H2[1, 0] = 0.7  # off-diagonal noise, same diagonal
-    assert np.array_equal(wanda_scores(W_star, H1), wanda_scores(W_star, H2))
+    W1, mask1 = wanda_prune(W_star, H1)
+    W2, mask2 = wanda_prune(W_star, H2)
+    assert np.array_equal(W1, W2) and np.array_equal(mask1, mask2)
+    # the scores weigh |w| by sqrt(H_jj): a channel whose diagonal outweighs
+    # the rest of its cell keeps its weight in every row
+    H3 = H1.copy()
+    H3[1, 1] = 1e6
+    _, mask3 = wanda_prune(W_star, H3)
+    assert np.all(mask3[:, 1] == 1.0)
+    assert np.array_equal(mask3[:, 4:], mask1[:, 4:])
 
 
 def test_wanda_optimal_for_diagonal_hessian():

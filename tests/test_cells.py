@@ -15,7 +15,6 @@ from prune24.cells import (
     prox_cells,
     prox_enumerate,
     prox_simple_cells,
-    solve_case_gd,
     solve_case_ipm,
 )
 from prune24.harness import SyntheticSpec, gen_synthetic
@@ -23,11 +22,13 @@ from prune24.pruner import LambdaSchedule, clamp_top2, is_24_sparse, prune_prox
 
 from reference import (
     brute_force_prox_oracle,
+    gd_iterates,
     is_psd,
     kkt_check,
     prox_enumerate_ipm,
     prox_simple_cells_by_sort,
     regularizer_rNM,
+    solve_case_gd,
 )
 
 
@@ -332,7 +333,7 @@ def test_enumerate_never_two_sparse_below_threshold():
     rng = np.random.default_rng(15)
     for _ in range(60):
         z = sorted_abs(rng) + 0.05  # keep z3 > 0
-        lam2, _ = lambda_thresholds(z)
+        lam2 = lambda_thresholds(z)
         lam = lam2 * rng.uniform(0.05, 0.95)
         res = prox_enumerate(z, lam)
         assert res.case_tag != "two_sparse"
@@ -356,10 +357,7 @@ def test_gd_trajectory_stays_in_psd_region_when_dense():
         res = prox_enumerate(z, lam)
         if res.case_tag != "dense":
             continue
-        traj = []
-        solve_case_gd(z, lam, "dense", trajectory=traj)
-        assert traj, "expected recorded iterates"
-        for w in traj:
+        for w in gd_iterates(z, lam, "dense"):
             assert is_psd(hessian_f(w, lam), tol=1e-9)
         checked += 1
     assert checked > 5
@@ -392,12 +390,59 @@ def test_gd_step_bound_holds_on_the_box():
         assert np.linalg.eigvalsh(hessian_g(w[:3], lam))[-1] <= bound
         if i % 10 == 0:
             for case in ("dense", "three_sparse"):
-                traj = []
-                solve_case_gd(z, lam, case, trajectory=traj)
-                assert all(np.all(v >= 0.0) and np.all(v <= z) for v in traj)
+                traj = gd_iterates(z, lam, case)
+                assert np.all(traj >= 0.0) and np.all(traj <= z)
 
 
-def _gd_solve_reference(Z, lam, pinned, trajectory=None):
+_Z_MID = [1.6, 1.1, 0.8, 0.5]
+_Z_POLISH_DENSE, _Z_POLISH_3 = POLISH_CELLS[0].values[0], POLISH_CELLS[1].values[0]
+
+# (z, lam, case, how the kernel's row ends): both cases in each lam bin
+# (< 0.1, 0.1 to 1, >= 1), with rows that converge, abort and stall at the cap
+GD_ENDINGS = [
+    pytest.param(_Z_MID, 0.05, "dense", "converged", id="dense-0.05-converged"),
+    pytest.param(_Z_MID, 0.05, "three_sparse", "converged", id="three_sparse-0.05-converged"),
+    pytest.param(_Z_MID, 0.3, "dense", "aborted", id="dense-0.3-aborted"),
+    pytest.param(_Z_MID, 0.3, "three_sparse", "converged", id="three_sparse-0.3-converged"),
+    pytest.param(_Z_POLISH_DENSE, 0.3, "dense", "stalled", id="dense-0.3-stalled"),
+    pytest.param(_Z_MID, 1.0, "three_sparse", "aborted", id="three_sparse-1-aborted"),
+    pytest.param(_Z_POLISH_3, 1.0, "three_sparse", "stalled", id="three_sparse-1-stalled"),
+    pytest.param(_Z_MID, 5.0, "dense", "aborted", id="dense-5-aborted"),
+    # the symmetric stationary point, outside the dense case's convex region
+    pytest.param([1.0] * 4, 5.0, "dense", "converged", id="dense-5-converged"),
+    pytest.param([1.0] * 4, 5.0, "three_sparse", "converged", id="three_sparse-5-converged"),
+    pytest.param(_Z_MID, sys.float_info.max, "dense", "aborted", id="dense-max-aborted"),
+]
+
+
+@pytest.mark.parametrize("z, lam, case, ending", GD_ENDINGS)
+def test_gd_iterates_replays_every_way_a_kernel_row_ends(z, lam, case, ending):
+    # gd_iterates asserts that its last replayed iterate is the kernel's
+    # output bit for bit; the replay must also take the kernel's step count
+    z, pinned = np.array(z), case == "three_sparse"
+    _, *flags, iters = cells._gd_solve_batched(z[None, :], lam, np.array([pinned]))
+    assert [f[0] for f in flags] == [e == ending for e in ("converged", "aborted", "stalled")]
+    assert (iters[0] == cells.DEFAULT_MAX_ITER) == (ending == "stalled")
+    traj = gd_iterates(z, lam, case)
+    assert traj.shape == (iters[0] + 1, 4)
+    assert not traj[0].any()
+    assert np.all(traj >= 0.0) and np.all(traj <= z)
+    assert not (pinned and traj[:, 3].any())
+
+
+def test_gd_iterates_rejects_a_kernel_output_it_does_not_reach(monkeypatch):
+    kernel = cells._gd_solve_batched
+
+    def one_ulp_off(Z, lam, pinned):
+        W, *rest = kernel(Z, lam, pinned)
+        return (np.nextafter(W, np.inf), *rest)
+
+    monkeypatch.setattr(cells, "_gd_solve_batched", one_ulp_off)
+    with pytest.raises(AssertionError):
+        gd_iterates(np.array(_Z_MID), 0.05, "dense")
+
+
+def _gd_solve_reference(Z, lam, pinned):
     """The fixed-step kernel: projected GD at step 1/4 on an (n, 4) array,
     every row stepping until all have finished. Same contract as
     cells._gd_solve_batched."""
@@ -485,9 +530,9 @@ def test_one_kernel_pass_per_prox(monkeypatch):
     # both convex cases of every cell are solved in one projected-GD batch
     kernel, batches = cells._gd_solve_batched, []
 
-    def counting(Z, lam, pinned, trajectory=None):
+    def counting(Z, lam, pinned):
         batches.append((Z.shape[0], int(np.count_nonzero(pinned))))
-        return kernel(Z, lam, pinned, trajectory)
+        return kernel(Z, lam, pinned)
 
     monkeypatch.setattr(cells, "_gd_solve_batched", counting)
     prox_cells(np.random.default_rng(26).normal(size=(50, 4)), 0.3)
@@ -634,16 +679,12 @@ def test_cell_entry_points_reject_bad_lam_and_cells(call, match):
 
 def test_lambda_thresholds_examples():
     z = np.array([1.6, 1.1, 0.8, 0.5])
-    lam2, lam3 = lambda_thresholds(z)
-    assert lam2 == pytest.approx(0.8 / 1.76)
-    assert lam3 is None
-    lam2, lam3 = lambda_thresholds(z, w123=z[:3])
-    assert lam3 == pytest.approx(0.5 / (1.76 + 0.88 + 1.28))
+    lam2 = lambda_thresholds(z)
+    assert type(lam2) is float and lam2 == pytest.approx(0.8 / 1.76)
 
 
 def test_lambda_thresholds_zero_z3():
-    lam2, _ = lambda_thresholds(np.array([2.0, 1.0, 0.0, 0.0]))
-    assert lam2 == 0.0
+    assert lambda_thresholds(np.array([2.0, 1.0, 0.0, 0.0])) == 0.0
 
 
 def test_lambda_thresholds_degenerate_error():
@@ -653,7 +694,7 @@ def test_lambda_thresholds_degenerate_error():
 
 def test_kkt_two_sparse_above_and_below_threshold():
     z = np.array([1.6, 1.1, 0.8, 0.5])
-    lam2, _ = lambda_thresholds(z)
+    lam2 = lambda_thresholds(z)
     w = np.array([1.6, 1.1, 0.0, 0.0])
     assert kkt_check(w, z, lam2 * 1.5, tol=1e-9).passed
     below = kkt_check(w, z, lam2 * 0.5, tol=1e-9)
