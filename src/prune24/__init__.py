@@ -14,7 +14,6 @@ from .cells import (
     ProxResult,
     cell_objective,
     hessian_f,
-    hessian_g,
     lambda_thresholds,
     prox_cells,
     prox_enumerate,
@@ -73,7 +72,6 @@ __all__ = [
     "gen_synthetic",
     "hessian_f",
     "hessian_from_data",
-    "hessian_g",
     "is_24_sparse",
     "lambda_thresholds",
     "layer_loss",

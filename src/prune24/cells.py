@@ -32,7 +32,10 @@ is finite and nonnegative and the cells are finite. A lam up to the largest
 finite float raises no numpy overflow or invalid-value warning, and neither
 do cells up to about 1e154, where the solver's pairwise products overflow.
 
-An interior-point solver with a log-det barrier on the objective's Hessian
+Every case solver works on the same case form: a sorted 4-vector whose last
+coordinate a pin holds at zero in the 3-sparse case. The 3-sparse case's
+Hessian is then the leading 3 x 3 block of the dense case's. An
+interior-point solver with a log-det barrier on that Hessian
 (``solve_case_ipm``) decides the rare stalled case whose Newton polish
 fails; the tests also run it on whole cells as the cross-check of the
 gradient solver.
@@ -157,22 +160,12 @@ def hessian_f(w: np.ndarray, lam: float) -> np.ndarray:
     return H
 
 
-def hessian_g(w: np.ndarray, lam: float) -> np.ndarray:
-    """Hessian of the 3-sparse-case objective: off-diagonal (i, j) is lam
-    times the remaining coordinate."""
-    w = np.asarray(w, dtype=np.float64)
-    H = np.eye(3)
-    H[0, 1] = H[1, 0] = lam * w[2]
-    H[0, 2] = H[2, 0] = lam * w[1]
-    H[1, 2] = H[2, 1] = lam * w[0]
-    return H
-
-
-def _case_hessian(w, lam, dim):
-    # Hessian of the case with dim free coordinates; the 3-sparse case reads
-    # only the first 3, so w may be a 4-vector with its last coordinate
-    # pinned to zero or the 3 free coordinates alone.
-    return hessian_g(w[:3], lam) if dim == 3 else hessian_f(w, lam)
+def _case_hessian(w, lam, pinned):
+    # Hessian of a case in the free coordinates of the 4-vector w: the dense
+    # case, or with the pin the 3-sparse case, whose w4 is 0, so entry (i, j)
+    # is lam times the one other free coordinate
+    dim = 4 - int(pinned)
+    return hessian_f(w, lam)[:dim, :dim]
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +178,8 @@ def _gd_finish_row(w, z, lam, pinned, eta, step_tol, gcap, k):
     and abort cap). Every IEEE operation is the batch's, in the same order:
     the squared norm sums as einsum does over two or more columns, and
     ``x if x > 0.0 else 0.0`` is np.maximum(x, 0.0) for every x but NaN
-    (``max(x, 0.0)`` would keep a -0.0). Returns (w, outcome, iters),
-    outcome indexing (converged, aborted, stalled).
+    (``max(x, 0.0)`` would keep a -0.0). Returns (w, outcome, iters), the
+    outcome 0 if the row converged, 1 if it aborted and 2 if it stalled.
     """
     w1, w2, w3, w4 = w
     z1, z2, z3, z4 = z
@@ -236,14 +229,12 @@ def _gd_solve_batched(Z, lam, pinned):
     iterates, and converges once its projected step divided by its eta is
     within the tolerance. Once at most _SCALAR_ROWS cells are live, each
     finishes in _gd_finish_row, bit for bit as the batch would finish it.
-    Returns (W, converged, aborted, stalled, iters).
+    Returns (W, outcome, iters), each row's outcome coded as _gd_finish_row's.
     """
     Z = np.asarray(Z, dtype=np.float64)
     n = Z.shape[0]
     W_out = np.zeros((n, 4))
-    converged = np.zeros(n, dtype=bool)
-    aborted = np.zeros(n, dtype=bool)
-    stalled = np.zeros(n, dtype=bool)
+    outcome = np.zeros(n, dtype=np.int8)
     iters = np.zeros(n, dtype=np.int64)
 
     # The live cells are the columns of (4, m) arrays, so every per-cell sum
@@ -257,10 +248,10 @@ def _gd_solve_batched(Z, lam, pinned):
     gcap = np.full(n, np.inf)  # a squared gradient norm above this aborts
     live = n
 
-    def finish(done, flag, steps):
+    def finish(done, code, steps):
         out = idx[done]
         W_out[out] = W[:, done].T
-        flag[out] = True
+        outcome[out] = code
         iters[out] = steps
         W[:, done] = 0.0  # a frozen cell's gradient is then -z, never inf
         eta[done] = 0.0
@@ -293,7 +284,7 @@ def _gd_solve_batched(Z, lam, pinned):
             abort = gn2 > gcap
             gcap = gn2 * _ABORT_GUARD2
             if abort.any():  # these cells keep the iterate whose gradient grew
-                live -= finish(abort, aborted, k - 1)
+                live -= finish(abort, 1, k - 1)
                 G[:, abort] = 0.0  # now at the origin: no 0 * inf step below
 
             Wn = W - eta * G
@@ -301,7 +292,7 @@ def _gd_solve_batched(Z, lam, pinned):
             conv = np.abs(Wn - W).max(axis=0) <= step_tol
             W = Wn
             if conv.any():
-                live -= finish(conv, converged, k)
+                live -= finish(conv, 0, k)
 
             if 0 < 2 * live <= W.shape[1]:
                 keep = step_tol >= 0.0
@@ -311,11 +302,10 @@ def _gd_solve_batched(Z, lam, pinned):
     lam = float(lam)
     for j in np.flatnonzero(step_tol >= 0.0):
         out = idx[j]
-        W_out[out], outcome, iters[out] = _gd_finish_row(
+        W_out[out], outcome[out], iters[out] = _gd_finish_row(
             W[:, j].tolist(), Zl[:, j].tolist(), lam, pin[j], float(eta[j]),
             float(step_tol[j]), float(gcap[j]), k)
-        (converged, aborted, stalled)[outcome][out] = True
-    return W_out, converged, aborted, stalled, iters
+    return W_out, outcome, iters
 
 
 def _newton_polish(w, z, lam, pinned, tol_eff):
@@ -338,7 +328,7 @@ def _newton_polish(w, z, lam, pinned, tol_eff):
     for _ in range(_POLISH_MAX_ITER):
         if res <= tol_eff:
             return w, True
-        A = _case_hessian(w, lam, dim)
+        A = _case_hessian(w, lam, pinned)
         try:
             d = np.linalg.solve(A + 1e-14 * np.eye(dim), -g[:dim])
         except np.linalg.LinAlgError:
@@ -363,7 +353,7 @@ def _newton_polish(w, z, lam, pinned, tol_eff):
 def _second_order_ok(w, lam, pinned):
     """Newton-polished points must sit in the PSD region of the case Hessian;
     otherwise the polish found a saddle rather than a case minimum."""
-    eigs = np.linalg.eigvalsh(_case_hessian(w, lam, 4 - int(pinned)))
+    eigs = np.linalg.eigvalsh(_case_hessian(w, lam, pinned))
     return bool(eigs[0] >= -_SECOND_ORDER_TOL)
 
 
@@ -377,8 +367,9 @@ def _solve_case_rows(Z, lam, pinned):
     positive; an invalid row's weights are zeroed. Returns (W, valid,
     aborted, iters).
     """
-    W, conv, aborted, stalled, iters = _gd_solve_batched(Z, lam, pinned)
-    for idx in np.flatnonzero(stalled):
+    W, outcome, iters = _gd_solve_batched(Z, lam, pinned)
+    conv, aborted = outcome == 0, outcome == 1
+    for idx in np.flatnonzero(outcome == 2):
         pin = pinned[idx]
         tol_eff = DEFAULT_TOL * max(1.0, Z[idx, 0])
         W[idx], ok = _newton_polish(W[idx], Z[idx], lam, pin, tol_eff)
@@ -388,7 +379,7 @@ def _solve_case_rows(Z, lam, pinned):
         # the polish can reject a step that does reach the optimum (its
         # objective test is blind below a few ulps), so this row's GD
         # iterate proves nothing either way
-        w, _, _ = solve_case_ipm(Z[idx], lam, "three_sparse" if pin else "dense")
+        w = solve_case_ipm(Z[idx], lam, "three_sparse" if pin else "dense")
         conv[idx] = w is not None
         if w is not None:
             W[idx] = w
@@ -409,27 +400,21 @@ def _check_sorted(z):
 # interior-point solver (cross-check of the gradient solver, and its fallback
 # where the Newton polish fails)
 
-# constant slope matrices of the case Hessian: dA/dw_i = lam * C_i
-def _slope_mats(dim):
+# constant slope matrices of the dense-case Hessian, dA/dw_i = lam * C_i; the
+# 3-sparse case's are the leading 3 x 3 blocks of the first three
+def _slope_mats():
     mats = []
-    for i in range(dim):
-        C = np.zeros((dim, dim))
-        for j in range(dim):
-            for k in range(dim):
+    for i in range(4):
+        C = np.zeros((4, 4))
+        for j in range(4):
+            for k in range(4):
                 if j != k and i not in (j, k):
                     C[j, k] = 1.0
         mats.append(C)
     return mats
 
 
-_C4 = _slope_mats(4)
-_C3 = _slope_mats(3)
-
-
-def _case_f(w, z, lam, dim):
-    if dim == 3:  # the free coordinates of the 3-sparse case alone
-        return 0.5 * np.sum((w - z[:3]) ** 2) + lam * w[0] * w[1] * w[2]
-    return _objective_rows(w, z, lam)
+_C4 = _slope_mats()
 
 
 def _chol_ok(A):
@@ -440,49 +425,57 @@ def _chol_ok(A):
         return False
 
 
-def _barrier_value(w, lam, dim):
-    A = _case_hessian(w, lam, dim)
-    sign, logdet = np.linalg.slogdet(A)
-    if sign <= 0 or np.any(w <= 0.0):
+def _barrier_value(w, lam, pinned):
+    dim = 4 - int(pinned)
+    sign, logdet = np.linalg.slogdet(_case_hessian(w, lam, pinned))
+    if sign <= 0 or np.any(w[:dim] <= 0.0):
         return np.inf
-    return -logdet - np.sum(np.log(w))
+    return -logdet - np.sum(np.log(w[:dim]))
 
 
-def _barrier_grad_hess(w, lam, dim):
-    A = _case_hessian(w, lam, dim)
-    Ainv = np.linalg.inv(A)
-    Cs = _C3 if dim == 3 else _C4
-    M = [Ainv @ C for C in Cs]
-    grad = np.array([-lam * np.trace(Mi) for Mi in M]) - 1.0 / w
+def _barrier_grad_hess(w, lam, pinned):
+    dim = 4 - int(pinned)
+    Ainv = np.linalg.inv(_case_hessian(w, lam, pinned))
+    M = [Ainv @ C[:dim, :dim] for C in _C4[:dim]]
+    grad = np.array([-lam * np.trace(Mi) for Mi in M]) - 1.0 / w[:dim]
     hess = np.empty((dim, dim))
     for i in range(dim):
         for j in range(i, dim):
             hess[i, j] = hess[j, i] = lam * lam * np.trace(M[i] @ M[j])
-    hess += np.diag(1.0 / w ** 2)
+    hess += np.diag(1.0 / w[:dim] ** 2)
     return grad, hess
 
 
 def solve_case_ipm(z, lam, case):
-    """Solve one prox case by a path-following barrier method.
+    """Solve one prox case of the sorted cell z by a path-following barrier
+    method.
 
+    The iterate is a 4-vector; the "three_sparse" case pins its last
+    coordinate at 0, and every step moves only the free coordinates.
     Minimizes the case objective over {w >= 0, case Hessian PSD} with the
-    barrier -log det(Hessian) - sum log(w_i), multiplying the path parameter
-    by 10 per outer step. Returns (w, rejected, newton_iters); w is None when
-    the constrained minimizer is not an interior stationary point of the
-    case objective, i.e. the case cannot be the cell optimum.
+    barrier -log det(Hessian) - sum log(w_i) over the free coordinates,
+    multiplying the path parameter by 10 per outer step. Returns the case's
+    weights, or None when the constrained minimizer is not an interior
+    stationary point of the case objective, i.e. the case cannot be the cell
+    optimum.
     """
     z = _check_sorted(z)
     _check_lam(lam)
     if case not in ("dense", "three_sparse"):
         raise ValueError(f"unknown case {case!r}")
-    dim = 3 if case == "three_sparse" else 4
+    pinned = case == "three_sparse"
+    dim = 4 - int(pinned)  # the free coordinates
 
-    w = np.minimum(z[:dim], 0.1)
-    if np.any(w <= 0.0) or not _chol_ok(_case_hessian(w, lam, dim)):
+    # the case's target: with the pin, w4 = 0 scores no 0.5 * z4**2, a
+    # constant whose roundoff would blur the line search
+    z_case = z.copy()
+    z_case[dim:] = 0.0
+    w = np.minimum(z_case, 0.1)
+    if np.any(w[:dim] <= 0.0) or not _chol_ok(_case_hessian(w, lam, pinned)):
         eps = 1e-3
         for _ in range(200):
-            w = np.full(dim, eps)
-            if _chol_ok(_case_hessian(w, lam, dim)):
+            w[:dim] = eps
+            if _chol_ok(_case_hessian(w, lam, pinned)):
                 break
             eps *= 0.5
         else:
@@ -490,26 +483,24 @@ def solve_case_ipm(z, lam, case):
 
     nu = 2.0 * dim  # barrier parameter: dim from log-det, dim from the logs
     t = 1.0
-    total_newton = 0
     while nu / t >= _IPM_TOL:
         for _ in range(60):
-            g_f = _grad_rows(w, z[:dim], lam)
-            g_b, h_b = _barrier_grad_hess(w, lam, dim)
-            grad = t * g_f + g_b
-            hess = t * _case_hessian(w, lam, dim) + h_b
+            g_b, h_b = _barrier_grad_hess(w, lam, pinned)
+            grad = t * _grad_rows(w, z, lam)[:dim] + g_b
+            hess = t * _case_hessian(w, lam, pinned) + h_b
             try:
                 d = np.linalg.solve(hess, -grad)
             except np.linalg.LinAlgError:
                 break
             decrement = float(-grad @ d)
-            total_newton += 1
             if decrement <= 2e-10:
                 break
-            F0 = t * _case_f(w, z, lam, dim) + _barrier_value(w, lam, dim)
+            F0 = t * _objective_rows(w, z_case, lam) + _barrier_value(w, lam, pinned)
             alpha, stepped = 1.0, False
             for _ in range(60):
-                trial = w + alpha * d
-                Ft = t * _case_f(trial, z, lam, dim) + _barrier_value(trial, lam, dim)
+                trial = w.copy()
+                trial[:dim] += alpha * d
+                Ft = t * _objective_rows(trial, z_case, lam) + _barrier_value(trial, lam, pinned)
                 if Ft <= F0 - 0.25 * alpha * decrement:
                     w, stepped = trial, True
                     break
@@ -523,15 +514,12 @@ def solve_case_ipm(z, lam, case):
     # plain gradient bounded away from zero
     scale = max(1.0, z[0])
     thr = _POS_RTOL * scale
-    near_stationary = np.abs(_grad_rows(w, z[:dim], lam)).max() <= 1e-3 * scale
-    if np.all(w > thr) and near_stationary:
-        w4 = np.zeros(4)
-        w4[:dim] = w
-        # the polish moves only the free coordinates: a 3-sparse w4[3] stays 0
-        w4, ok = _newton_polish(w4, z, lam, dim == 3, tol_eff=1e-11 * scale)
-        if ok and np.all(w4[:dim] > thr) and _second_order_ok(w4, lam, dim == 3):
-            return w4, False, total_newton
-    return None, True, total_newton
+    near_stationary = np.abs(_grad_rows(w, z, lam)[:dim]).max() <= 1e-3 * scale
+    if np.all(w[:dim] > thr) and near_stationary:
+        w, ok = _newton_polish(w, z, lam, pinned, tol_eff=1e-11 * scale)
+        if ok and np.all(w[:dim] > thr) and _second_order_ok(w, lam, pinned):
+            return w
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -115,10 +115,12 @@ def _cmd_toy(args):
 
 
 def _cmd_eval_loss(args):
-    W = load_matrix(args.weights)
-    W_ref = load_matrix(args.ref_weights)
-    H = load_matrix(args.hessian)
-    print(f"{layer_loss(W, W_ref, H):.12g}")
+    mats = [load_matrix(path) for path in (args.weights, args.ref_weights, args.hessian)]
+    for flag, M in zip(("--weights", "--ref-weights", "--hessian"), mats):
+        # min and max propagate NaN and need no temporary the size of M
+        if not np.isfinite([np.min(M, initial=0.0), np.max(M, initial=0.0)]).all():
+            raise ValueError(f"{flag} must be finite (found NaN or inf)")
+    print(f"{layer_loss(*mats):.12g}")
 
 
 def _add_schedule_flags(p):

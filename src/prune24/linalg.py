@@ -28,6 +28,7 @@ def layer_loss(W: np.ndarray, W_star: np.ndarray, H: np.ndarray) -> float:
     """Reconstruction loss Tr((W - W*) H (W - W*)^T)."""
     W = np.asarray(W, dtype=np.float64)
     W_star = np.asarray(W_star, dtype=np.float64)
+    H = np.asarray(H, dtype=np.float64)
     _check_shapes(W, W_star, H)
     delta = W - W_star
     return float(np.sum((delta @ H) * delta))

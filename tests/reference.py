@@ -6,7 +6,8 @@ least-squares normal equations; brute_force_mask_search enumerates every
 grid-search reference for the sorted cell prox, prox_enumerate_ipm the same
 prox with the interior-point case solver, and kkt_check tests a cell for
 first-order optimality. regularizer_rNM is the general N:M penalty,
-loss_gradient the gradient of the layer loss, and is_psd a spectrum test.
+loss_gradient the gradient of the layer loss, is_psd a spectrum test, and
+hessian_g the 3-sparse case's Hessian in its own 3 coordinates.
 prox_simple_cells_by_sort is the R0/R1/R2 prox through the sort reduction
 of the cell prox, which the sort-free prox_simple_cells must match bit for
 bit. solve_case_gd is the pipeline's case solve on one sorted cell, and
@@ -82,6 +83,17 @@ def is_psd(M: np.ndarray, tol: float = 1e-9) -> bool:
     return bool(eigs[0] >= -tol)
 
 
+def hessian_g(w, lam) -> np.ndarray:
+    """Hessian of the 3-sparse-case objective in its 3 free coordinates:
+    unit diagonal, off-diagonal (i, j) lam times the remaining coordinate."""
+    w = np.asarray(w, dtype=np.float64)
+    H = np.eye(3)
+    H[0, 1] = H[1, 0] = lam * w[2]
+    H[0, 2] = H[2, 0] = lam * w[1]
+    H[1, 2] = H[2, 1] = lam * w[0]
+    return H
+
+
 def prox_enumerate_ipm(z, lam) -> ProxResult:
     """prox_enumerate with solve_case_ipm solving the 3-sparse and dense
     cases: the cross-check of the gradient solver on whole cells."""
@@ -89,7 +101,7 @@ def prox_enumerate_ipm(z, lam) -> ProxResult:
     _check_lam(lam)
     cands = []
     for case in _CASES:
-        w, _, _ = solve_case_ipm(Z[0], lam, case)
+        w = solve_case_ipm(Z[0], lam, case)
         cands += [np.zeros((1, 4)) if w is None else w[None, :], np.array([w is not None])]
     W, choice, F = _pick_case(Z, lam, *cands)
     return ProxResult(W[0], _CASE_TAGS[choice[0]], float(F[0]))
@@ -128,7 +140,7 @@ def gd_iterates(z, lam, case):
     the iterate before the gradient grew) or stalled at the cap.
     """
     z, pinned = _case_input(z, lam, case)
-    W, _, _, _, iters = cells._gd_solve_batched(z[None, :], lam, pinned)
+    W, _, iters = cells._gd_solve_batched(z[None, :], lam, pinned)
     with np.errstate(over="ignore"):  # as in the kernel, near the largest float lam
         eta = 1.0 / (1.0 + 3.0 * np.minimum(lam * (z[0] + z[1]), 1.0))
     step_tol = cells.DEFAULT_TOL * np.maximum(1.0, z[0]) * eta

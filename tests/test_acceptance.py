@@ -130,7 +130,7 @@ def test_criterion_3_prox_correctness(cell_batch):
         worst_backend = max(worst_backend, float(np.linalg.norm(res.w - res_ipm.w)))
         for case in ("three_sparse", "dense"):
             wg, _, _ = solve_case_gd(z, lam, case)
-            wi, _, _ = solve_case_ipm(z, lam, case)
+            wi = solve_case_ipm(z, lam, case)
             if (wg is None) != (wi is None):
                 case_mismatch += 1
             elif wg is not None:

@@ -128,6 +128,21 @@ def test_eval_loss_roundtrip(tmp_path, instance, capsys):
     assert float(capsys.readouterr().out.strip()) == 0.0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("flag", ["--weights", "--ref-weights", "--hessian"])
+def test_eval_loss_rejects_non_finite_matrices(tmp_path, instance, capsys, flag, bad):
+    w, h = instance
+    paths = {"--weights": w, "--ref-weights": w, "--hessian": h}
+    M = load_matrix(paths[flag])
+    M[0, 1] = bad
+    paths[flag] = tmp_path / "bad.bin"
+    save_matrix(paths[flag], M)
+    argv = ["eval-loss"] + [str(x) for item in paths.items() for x in item]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {flag} must be finite (found NaN or inf)\n"
+
+
 def test_prox_path_csv(tmp_path):
     out = tmp_path / "path.csv"
     for z in ("1.6,1.1,0.8,0.5", "-1.6,1.1,-0.8,0.5"):  # argparse alone rejects the second

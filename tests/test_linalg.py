@@ -65,6 +65,11 @@ def test_layer_loss_unit_row_identity():
     assert layer_loss(W, W_star, np.eye(4)) == pytest.approx(1.0)
 
 
+def test_layer_loss_takes_a_list_hessian():
+    W, W_star = np.array([[1.0, 2.0, 0.0, -1.0]]), np.zeros((1, 4))
+    assert layer_loss(W, W_star, np.eye(4).tolist()) == layer_loss(W, W_star, np.eye(4)) == 6.0
+
+
 def test_layer_loss_shape_mismatch():
     with pytest.raises(ValueError):
         layer_loss(np.zeros((1, 4)), np.zeros((2, 4)), np.eye(4))
