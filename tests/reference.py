@@ -10,8 +10,10 @@ loss_gradient the gradient of the layer loss, is_psd a spectrum test, and
 hessian_g the 3-sparse case's Hessian in its own 3 coordinates.
 prox_simple_cells_by_sort is the R0/R1/R2 prox through the sort reduction
 of the cell prox, which the sort-free prox_simple_cells must match bit for
-bit. solve_case_gd is the pipeline's case solve on one sorted cell, and
-gd_iterates replays that solve's projected-GD iterates.
+bit. prox_cells_unscreened is prox_cells with every case row solved, which
+prox_cells must match bit for bit. solve_case_gd is the pipeline's case
+solve on one sorted cell, and gd_iterates replays that solve's projected-GD
+iterates.
 """
 
 from dataclasses import dataclass
@@ -105,6 +107,17 @@ def prox_enumerate_ipm(z, lam) -> ProxResult:
         cands += [np.zeros((1, 4)) if w is None else w[None, :], np.array([w is not None])]
     W, choice, F = _pick_case(Z, lam, *cands)
     return ProxResult(W[0], _CASE_TAGS[choice[0]], float(F[0]))
+
+
+def prox_cells_unscreened(cells_mat, lam) -> np.ndarray:
+    """prox_cells without its screen: _pick_case over _solve_case_rows on
+    all 2n stacked case rows, the 3-sparse case on the first n."""
+    Z, order, signs = pos_sort_cells(cells_mat)
+    _check_lam(lam)
+    n = Z.shape[0]
+    W, valid, _, _ = cells._solve_case_rows(np.vstack([Z, Z]), lam, np.arange(2 * n) < n)
+    out, _, _ = _pick_case(Z, lam, W[:n], valid[:n], W[n:], valid[n:])
+    return inv_pos_sort_cells(out, order, signs)
 
 
 def _case_input(z, lam, case):

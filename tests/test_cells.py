@@ -25,6 +25,7 @@ from reference import (
     hessian_g,
     is_psd,
     kkt_check,
+    prox_cells_unscreened,
     prox_enumerate_ipm,
     prox_simple_cells_by_sort,
     regularizer_rNM,
@@ -553,19 +554,90 @@ def test_prox_full_signed_permutation_equivariance():
 
 
 def test_one_kernel_pass_per_prox(monkeypatch):
-    # both convex cases of every cell are solved in one projected-GD batch
+    # both convex cases of every cell are solved in one projected-GD batch,
+    # whose rows and pins are exactly the stacked case rows the screen keeps;
+    # a call whose rows are all screened still makes its one, empty, batch
     kernel, batches = cells._gd_solve_batched, []
 
-    def counting(Z, lam, pinned):
-        batches.append((Z.shape[0], int(np.count_nonzero(pinned))))
+    def recording(Z, lam, pinned):
+        batches.append((Z.copy(), np.array(pinned)))
         return kernel(Z, lam, pinned)
 
-    monkeypatch.setattr(cells, "_gd_solve_batched", counting)
-    prox_cells(np.random.default_rng(26).normal(size=(50, 4)), 0.3)
-    assert batches == [(100, 50)]
-    batches.clear()
-    prox_enumerate(np.array([1.6, 1.1, 0.8, 0.5]), 0.3)
-    assert batches == [(2, 1)]
+    monkeypatch.setattr(cells, "_gd_solve_batched", recording)
+    for call, arg, lam, shape in [
+        (prox_cells, np.random.default_rng(26).normal(size=(50, 4)), 0.3, (51, 34)),
+        (prox_cells, [[10.0, -10.0, 0.1, 0.05]], 0.1, (0, 0)),
+        (prox_enumerate, [1.6, 1.1, 0.8, 0.5], 0.3, (2, 1)),
+    ]:
+        batches.clear()
+        call(arg, lam)
+        Z, _, _ = pos_sort_cells(np.reshape(arg, (-1, 4)))
+        Z, pinned = np.vstack([Z, Z]), np.arange(2 * len(Z)) < len(Z)
+        keep = ~cells._screened(Z, lam, pinned)
+        [(Z_kernel, pinned_kernel)] = batches
+        assert Z_kernel.tobytes() == Z[keep].tobytes()
+        assert np.array_equal(pinned_kernel, pinned[keep])
+        assert (len(Z_kernel), int(np.count_nonzero(pinned_kernel))) == shape
+
+
+def test_screen_drops_only_rows_the_case_solve_calls_invalid():
+    # the screen is sound: every row it drops is one that _solve_case_rows
+    # marks invalid, at every scale and lam, and it raises nothing. Cells
+    # run to a largest entry of 1e153 with the lams below, and to 1e100 with
+    # the scale-equivariant lam / s too; above about 5e102 a stalled row's
+    # Newton polish overflows in its unscaled objective
+    rng = np.random.default_rng(31)
+    lams0 = (0.0, 1e-3, 0.01, 0.1, 0.3, 1.0, 3.0, 100.0, sys.float_info.max)
+    screened = 0
+    for s in (1e-3, 1.0, 1e3, 1e50, 1e100, 1e153):
+        cells_mat = rng.normal(size=(300, 4))
+        cells_mat *= s / np.abs(cells_mat).max(axis=1, keepdims=True)
+        Z, _, _ = pos_sort_cells(cells_mat)
+        Z, pinned = np.vstack([Z, Z]), np.arange(2 * len(Z)) < len(Z)
+        lams = lams0 + (tuple(lam / s for lam in lams0[1:-1]) if s <= 1e100 else ())
+        for lam in lams:
+            with np.errstate(all="raise"):
+                dropped = cells._screened(Z, lam, pinned)
+            _, valid, _, _ = cells._solve_case_rows(Z, lam, pinned)
+            assert not np.any(dropped & valid), (s, lam)
+            screened += np.count_nonzero(dropped)
+    assert screened > 2000  # 4634 of 53,400 rows
+
+    # at lam = 0 the e2 of a cell of 1e154 overflows, and 0 * inf is NaN: a
+    # NaN bound drops no row
+    big = np.full((2, 4), 1e154)
+    with np.errstate(over="ignore"):
+        assert np.isinf(cells._e2_others(big[:1].T)).all()
+    with np.errstate(all="raise"):
+        assert not cells._screened(big, 0.0, np.array([True, False])).any()
+
+
+def test_prox_cells_equals_the_unscreened_prox_bit_for_bit():
+    # a screened row enters the case pick as an invalid row with zero
+    # weights, as the unscreened case solve leaves it; the screen keeps the
+    # rows of the polish cells, which reach the Newton polish and the IPM
+    rng = np.random.default_rng(32)
+    cells_mat = rng.normal(size=(500, 4)) * np.exp(rng.uniform(-2.0, 2.0, size=(500, 1)))
+    calls = [(cells_mat, lam) for lam in (0.0, 0.01, 0.1, 0.3, 1.0, 3.0)]
+    calls += [(np.array([p.values[0]]), p.values[1]) for p in POLISH_CELLS]
+    for C, lam in calls:
+        assert prox_cells(C, lam).tobytes() == prox_cells_unscreened(C, lam).tobytes(), lam
+
+
+def test_dense_stationary_point_outside_the_convex_region_loses_the_case_pick():
+    # at z = ones(4), lam = 5 the dense row converges to the symmetric point
+    # w + 3 lam w^2 = 1, where hessian_f is indefinite, and stays a valid
+    # candidate: the screen keeps it, as its lower bound max(1 - 3 lam, 0) is
+    # 0. The case pick still returns the 2-sparse prox, which the oracle finds
+    z, lam = np.ones(4), 5.0
+    assert not cells._screened(z[None, :], lam, np.array([False]))[0]
+    w, aborted, _ = solve_case_gd(z, lam, "dense")
+    assert w is not None and not aborted
+    assert np.allclose(w, (np.sqrt(1.0 + 12.0 * lam) - 1.0) / (6.0 * lam), atol=1e-9)
+    assert not is_psd(hessian_f(w, lam))
+    out = prox_cells(z[None, :], lam)[0]
+    assert np.array_equal(out, [1.0, 1.0, 0.0, 0.0])
+    assert np.array_equal(out, brute_force_prox_oracle(z, lam)[0])
 
 
 def _kernel_and_prox(monkeypatch, scalar_rows, Z, pinned, cells_mat, lam):
