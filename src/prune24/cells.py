@@ -33,10 +33,10 @@ whose upper bound on a free coordinate reaches 0 has none. ``prox_cells``
 (the pipeline's prox, on signed cells; one cell is a one-row call) reduces
 to ``_prox_sorted`` through ``pos_sort_cells`` and ``inv_pos_sort_cells``,
 and ``prox_enumerate`` calls it on one sorted cell. Every entry point raises
-ValueError unless lam is finite and nonnegative and the cells are finite. A
-lam up to the largest finite float raises no numpy overflow or invalid-value
-warning, and neither do cells up to about 1e154, where the solver's pairwise
-products overflow.
+ValueError unless lam is finite and nonnegative and the cells are finite.
+``_prox_sorted`` solves every cell scaled exactly to entries below 2, so no
+lam up to the largest float and no finite cell raises a numpy overflow,
+invalid-value or divide warning.
 
 Every case solver works on the same case form: a sorted 4-vector whose last
 coordinate a pin holds at zero in the 3-sparse case. The 3-sparse case's
@@ -47,6 +47,7 @@ fails; the tests also run it on whole cells as the cross-check of the
 gradient solver.
 """
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,17 +133,12 @@ def inv_pos_sort_cells(W: np.ndarray, order: np.ndarray, signs: np.ndarray) -> n
 # objective, gradient, Hessians (sorted nonnegative coordinates)
 
 
-def _objective_rows(W, Z, lam, s=1.0):
-    """Cell objective per row: 0.5||w-z||^2 + lam * sum of triple products.
-
-    With a per-row scale s, W and Z hold cells divided by s, and the result
-    is the objective of the unscaled cells divided by s**2; s multiplies the
-    triple-product sum before lam does, so no lam * s is formed.
-    """
+def _objective_rows(W, Z, lam):
+    """Cell objective per row: 0.5||w-z||^2 + lam * sum of triple products."""
     q = 0.5 * np.sum((W - Z) ** 2, axis=-1)
     w1, w2, w3, w4 = W[..., 0], W[..., 1], W[..., 2], W[..., 3]
     reg = w1 * w2 * w3 + w2 * w3 * w4 + w3 * w4 * w1 + w4 * w1 * w2
-    return q + lam * (reg * s)
+    return q + lam * reg
 
 
 def _grad_rows(W, Z, lam):
@@ -233,7 +229,8 @@ _SCALAR_ROWS = 16
 
 
 def _gd_solve_batched(Z, lam, pinned):
-    """Projected GD from the origin on the (n, 4) sorted cells Z.
+    """Projected GD from the origin on the (n, 4) sorted cells Z, at one lam
+    per row.
 
     A row whose pin (a boolean per row) is set solves the 3-sparse case by
     fixing its last coordinate at zero (the free coordinates then see
@@ -308,14 +305,13 @@ def _gd_solve_batched(Z, lam, pinned):
 
             if 0 < 2 * live <= W.shape[1]:
                 keep = step_tol >= 0.0
-                idx, pin, W, Zl = idx[keep], pin[keep], W[:, keep], Zl[:, keep]
+                idx, pin, lam, W, Zl = idx[keep], pin[keep], lam[keep], W[:, keep], Zl[:, keep]
                 eta, step_tol, gcap = eta[keep], step_tol[keep], gcap[keep]
 
-    lam = float(lam)
     for j in np.flatnonzero(step_tol >= 0.0):
         out = idx[j]
         W_out[out], outcome[out], iters[out] = _gd_finish_row(
-            W[:, j].tolist(), Zl[:, j].tolist(), lam, pin[j], float(eta[j]),
+            W[:, j].tolist(), Zl[:, j].tolist(), float(lam[j]), pin[j], float(eta[j]),
             float(step_tol[j]), float(gcap[j]), k)
     return W_out, outcome, iters
 
@@ -370,8 +366,9 @@ def _second_order_ok(w, lam, pinned):
 
 
 def _solve_case_rows(Z, lam, pinned):
-    """Solve a prox case on every row of an (n, 4) array of sorted cells:
-    the 3-sparse case where the row's pin is set, the dense case elsewhere.
+    """Solve a prox case on every row of an (n, 4) array of sorted cells, at
+    one lam per row: the 3-sparse case where the row's pin is set, the
+    dense case elsewhere.
 
     Projected GD, then a Newton polish and second-order check on stalled
     rows; a stalled row whose polish fails takes the interior-point solver's
@@ -382,16 +379,16 @@ def _solve_case_rows(Z, lam, pinned):
     W, outcome, iters = _gd_solve_batched(Z, lam, pinned)
     conv, aborted = outcome == 0, outcome == 1
     for idx in np.flatnonzero(outcome == 2):
-        pin = pinned[idx]
+        pin, lam_i = pinned[idx], lam[idx]
         tol_eff = DEFAULT_TOL * max(1.0, Z[idx, 0])
-        W[idx], ok = _newton_polish(W[idx], Z[idx], lam, pin, tol_eff)
+        W[idx], ok = _newton_polish(W[idx], Z[idx], lam_i, pin, tol_eff)
         if ok:
-            conv[idx] = _second_order_ok(W[idx], lam, pin)
+            conv[idx] = _second_order_ok(W[idx], lam_i, pin)
             continue
         # the polish can reject a step that does reach the optimum (its
         # objective test is blind below a few ulps), so this row's GD
         # iterate proves nothing either way
-        w = solve_case_ipm(Z[idx], lam, "three_sparse" if pin else "dense")
+        w = solve_case_ipm(Z[idx], lam_i, "three_sparse" if pin else "dense")
         conv[idx] = w is not None
         if w is not None:
             W[idx] = w
@@ -413,7 +410,8 @@ def _screened(Z, lam, pinned):
     """The rows of the (n, 4) sorted cells Z whose case (the 3-sparse case
     where the row's pin is set, the dense case elsewhere) has no stationary
     point with every free coordinate positive, so that _solve_case_rows
-    could only call them invalid. Returns a boolean per row.
+    could only call them invalid (lam: a float or one per row). Returns a
+    boolean per row.
 
     Such a point solves w_i = z_i - lam * e2(the other coordinates), here on
     _gd_solve_batched's (4, m) layout with a pinned z4, and so w4, at 0. For
@@ -507,7 +505,8 @@ def solve_case_ipm(z, lam, case):
     multiplying the path parameter by 10 per outer step. Returns the case's
     weights, or None when the constrained minimizer is not an interior
     stationary point of the case objective, i.e. the case cannot be the cell
-    optimum.
+    optimum. It solves z unscaled (its objective overflows above about
+    5e102); the pipeline hands it the rows that _prox_sorted normalized.
     """
     z = _check_sorted(z)
     _check_lam(lam)
@@ -592,43 +591,39 @@ _CASE_TAGS = ("two_sparse",) + _CASES
 
 def _pick_case(Z, lam, W3, valid3, W4, valid4):
     """Per row of the sorted cells Z, the best of [z1, z2, 0, 0] and the
-    valid 3-sparse and dense candidates, ties going to the sparser case.
-    Returns (W, choice, objective) with choice indexing _CASE_TAGS."""
+    valid 3-sparse and dense candidates at lam (a float or one per row),
+    ties going to the sparser case. Returns (W, choice, objective) with
+    choice indexing _CASE_TAGS."""
     W2 = Z.copy()
     W2[:, 2:] = 0.0
-    # each row is scored on W/s and Z/s, s the largest power of two <= max(z1, 1):
-    # the scaling is exact, so the scores are the unscaled ones over s**2 wherever
-    # those are finite, and the triple-product sum, which overflows for cells
-    # above about 5e102, stays under 32 (each scaled weight is below 2)
-    s = np.ldexp(1.0, np.frexp(np.maximum(Z[:, 0], 1.0))[1] - 1)
-    Zs = Z / s[:, None]
-
-    def score(W):
-        return _objective_rows(W / s[:, None], Zs, lam, s)
-
-    F = np.stack(
-        [score(W2), np.where(valid3, score(W3), np.inf), np.where(valid4, score(W4), np.inf)],
-        axis=1,
-    )
+    F = np.stack([_objective_rows(W2, Z, lam),
+                  np.where(valid3, _objective_rows(W3, Z, lam), np.inf),
+                  np.where(valid4, _objective_rows(W4, Z, lam), np.inf)], axis=1)
     choice = np.argmin(F, axis=1)  # ties resolve toward the sparser case
     out = W2
     out[choice == 1] = W3[choice == 1]
     out[choice == 2] = W4[choice == 2]
-    return out, choice, F.min(axis=1) * s * s
+    return out, choice, F.min(axis=1)
 
 
 def _prox_sorted(Z, lam):
-    """The prox of every row of the (n, 4) sorted nonnegative cells Z: both
-    convex cases as the rows of Z stacked twice (the 3-sparse case on the
-    first n rows, the dense case on the last n), one _solve_case_rows batch
-    on the rows that _screened keeps, then the case pick, where a screened
-    row is an invalid one. Returns _pick_case's (W, choice, objective)."""
+    """The prox of every row of the (n, 4) sorted nonnegative cells Z, as
+    s prox(z / s, lam s), s the largest power of two <= max(z1, 1) and
+    lam s capped at the largest float; the scaling commutes with every IEEE
+    operation that neither underflows nor overflows. Both convex cases are
+    the scaled rows stacked twice (the 3-sparse case on the first n), one
+    _solve_case_rows batch solves the rows that _screened keeps, and the
+    case pick takes a screened row as invalid. Returns (W, choice,
+    objective / s**2, s)."""
     n = Z.shape[0]
-    Z2, pinned = np.vstack([Z, Z]), np.arange(2 * n) < n
-    keep = ~_screened(Z2, lam, pinned)
+    s = np.ldexp(1.0, np.frexp(np.maximum(Z[:, 0], 1.0))[1] - 1)
+    Z, lam = Z / s[:, None], np.minimum(lam, sys.float_info.max / s) * s
+    Z2, lam2, pinned = np.vstack([Z, Z]), np.concatenate([lam, lam]), np.arange(2 * n) < n
+    keep = ~_screened(Z2, lam2, pinned)
     W, valid = np.zeros((2 * n, 4)), np.zeros(2 * n, dtype=bool)
-    W[keep], valid[keep], *_ = _solve_case_rows(Z2[keep], lam, pinned[keep])
-    return _pick_case(Z, lam, W[:n], valid[:n], W[n:], valid[n:])
+    W[keep], valid[keep], *_ = _solve_case_rows(Z2[keep], lam2[keep], pinned[keep])
+    W, choice, F = _pick_case(Z, lam, W[:n], valid[:n], W[n:], valid[n:])
+    return W * s[:, None], choice, F, s
 
 
 def prox_enumerate(z, lam) -> ProxResult:
@@ -642,8 +637,8 @@ def prox_enumerate(z, lam) -> ProxResult:
     """
     Z = _check_sorted(z)[None, :]
     _check_lam(lam)
-    W, choice, F = _prox_sorted(Z, lam)
-    return ProxResult(W[0], _CASE_TAGS[choice[0]], float(F[0]))
+    W, choice, F, s = _prox_sorted(Z, lam)
+    return ProxResult(W[0], _CASE_TAGS[choice[0]], float(F[0]) * float(s[0]) * float(s[0]))
 
 
 def prox_cells(cells, lam) -> np.ndarray:
@@ -654,7 +649,7 @@ def prox_cells(cells, lam) -> np.ndarray:
     """
     Z, order, signs = pos_sort_cells(cells)
     _check_lam(lam)
-    out, _, _ = _prox_sorted(Z, lam)
+    out, *_ = _prox_sorted(Z, lam)
     return inv_pos_sort_cells(out, order, signs)
 
 
@@ -665,14 +660,12 @@ def prox_cells(cells, lam) -> np.ndarray:
 def lambda_thresholds(z):
     """The 2-sparse threshold z3/(z1 z2) of the sorted nonnegative cell z,
     as a float: a 2-sparse solution is critical only for lam at or above it.
-    Raises ValueError unless z is sorted, nonnegative and finite with
-    z1 z2 > 0.
+    A cell with z3 = 0, among them every cell with z1 z2 = 0, is 2-sparse
+    already and critical at every lam, so its threshold is 0. Raises
+    ValueError unless z is sorted, nonnegative and finite.
     """
     z = _check_sorted(z)
-    denom = z[0] * z[1]
-    if denom == 0.0:
-        raise ValueError("z1 * z2 must be positive")
-    return float(z[2] / denom)
+    return 0.0 if z[2] == 0.0 else float(z[2] / z[0] / z[1])
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Command-line interface.
 
 Matrix arguments ending in .csv use the text format; anything else uses the
-binary format. All emitted tables are CSV with a header row. Every failure
-exits nonzero with a one-line error on stderr.
+binary format. All emitted tables are CSV with a header row. A failing
+command prints a one-line error on stderr and exits 1; an argument that
+argparse rejects (an unknown --method, --max-iter 1.5) prints the usage and
+an error and exits 2.
 """
 
 import argparse

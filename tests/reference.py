@@ -11,11 +11,13 @@ hessian_g the 3-sparse case's Hessian in its own 3 coordinates.
 prox_simple_cells_by_sort is the R0/R1/R2 prox through the sort reduction
 of the cell prox, which the sort-free prox_simple_cells must match bit for
 bit. prox_cells_unscreened is prox_cells with every case row solved, which
-prox_cells must match bit for bit. solve_case_gd is the pipeline's case
-solve on one sorted cell, and gd_iterates replays that solve's projected-GD
-iterates.
+prox_cells must match bit for bit, and normalized_rows the scaled cells and
+penalties that both hand to the solvers. solve_case_gd is the pipeline's
+case solve on one sorted cell, and gd_iterates replays that solve's
+projected-GD iterates.
 """
 
+import sys
 from dataclasses import dataclass
 from itertools import combinations, product
 
@@ -109,15 +111,27 @@ def prox_enumerate_ipm(z, lam) -> ProxResult:
     return ProxResult(W[0], _CASE_TAGS[choice[0]], float(F[0]))
 
 
+def normalized_rows(Z, lam):
+    """The sorted cells Z and the penalty lam as prox_cells solves them: each
+    row divided by s, the largest power of two at most max(z1, 1), and lam
+    multiplied by s, capped at the largest float. Returns (Z / s, lam per
+    row, s)."""
+    s = np.ldexp(1.0, np.frexp(np.maximum(Z[:, 0], 1.0))[1] - 1)
+    return Z / s[:, None], np.minimum(lam, sys.float_info.max / s) * s, s
+
+
 def prox_cells_unscreened(cells_mat, lam) -> np.ndarray:
     """prox_cells without its screen: _pick_case over _solve_case_rows on
-    all 2n stacked case rows, the 3-sparse case on the first n."""
+    all 2n stacked case rows of the normalized cells, the 3-sparse case on
+    the first n."""
     Z, order, signs = pos_sort_cells(cells_mat)
     _check_lam(lam)
     n = Z.shape[0]
-    W, valid, _, _ = cells._solve_case_rows(np.vstack([Z, Z]), lam, np.arange(2 * n) < n)
+    Z, lam, s = normalized_rows(Z, lam)
+    W, valid, _, _ = cells._solve_case_rows(np.vstack([Z, Z]), np.concatenate([lam, lam]),
+                                            np.arange(2 * n) < n)
     out, _, _ = _pick_case(Z, lam, W[:n], valid[:n], W[n:], valid[n:])
-    return inv_pos_sort_cells(out, order, signs)
+    return inv_pos_sort_cells(out * s[:, None], order, signs)
 
 
 def _case_input(z, lam, case):
@@ -137,7 +151,7 @@ def solve_case_gd(z, lam, case):
     must be strictly positive converged to zero.
     """
     z, pinned = _case_input(z, lam, case)
-    W, valid, aborted, iters = cells._solve_case_rows(z[None, :], lam, pinned)
+    W, valid, aborted, iters = cells._solve_case_rows(z[None, :], np.full(1, lam), pinned)
     return (W[0] if valid[0] else None), bool(aborted[0]), int(iters[0])
 
 
@@ -153,7 +167,7 @@ def gd_iterates(z, lam, case):
     the iterate before the gradient grew) or stalled at the cap.
     """
     z, pinned = _case_input(z, lam, case)
-    W, _, iters = cells._gd_solve_batched(z[None, :], lam, pinned)
+    W, _, iters = cells._gd_solve_batched(z[None, :], np.full(1, lam), pinned)
     with np.errstate(over="ignore"):  # as in the kernel, near the largest float lam
         eta = 1.0 / (1.0 + 3.0 * np.minimum(lam * (z[0] + z[1]), 1.0))
     step_tol = cells.DEFAULT_TOL * np.maximum(1.0, z[0]) * eta

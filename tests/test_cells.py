@@ -25,6 +25,7 @@ from reference import (
     hessian_g,
     is_psd,
     kkt_check,
+    normalized_rows,
     prox_cells_unscreened,
     prox_enumerate_ipm,
     prox_simple_cells_by_sort,
@@ -446,7 +447,7 @@ def test_gd_iterates_replays_every_way_a_kernel_row_ends(z, lam, case, ending):
     # gd_iterates asserts that its last replayed iterate is the kernel's
     # output bit for bit; the replay must also take the kernel's step count
     z, pinned = np.array(z), case == "three_sparse"
-    _, outcome, iters = cells._gd_solve_batched(z[None, :], lam, np.array([pinned]))
+    _, outcome, iters = cells._gd_solve_batched(z[None, :], np.full(1, lam), np.array([pinned]))
     assert outcome[0] == ("converged", "aborted", "stalled").index(ending)
     assert (iters[0] == cells.DEFAULT_MAX_ITER) == (ending == "stalled")
     traj = gd_iterates(z, lam, case)
@@ -469,10 +470,10 @@ def test_gd_iterates_rejects_a_kernel_output_it_does_not_reach(monkeypatch):
 
 
 def _gd_solve_reference(Z, lam, pinned):
-    """The fixed-step kernel: projected GD at step 1/4 on an (n, 4) array,
-    every row stepping until all have finished. Same contract as
-    cells._gd_solve_batched, whose outcome codes converged rows 0, aborted
-    rows 1 and stalled rows 2."""
+    """The fixed-step kernel: projected GD at step 1/4 on an (n, 4) array
+    with one lam per row, every row stepping until all have finished. Same
+    contract as cells._gd_solve_batched, whose outcome codes converged rows
+    0, aborted rows 1 and stalled rows 2."""
     eta, guard = 0.25, 1.0 + 1e-12
     Z = np.asarray(Z, dtype=np.float64)
     n = Z.shape[0]
@@ -484,7 +485,7 @@ def _gd_solve_reference(Z, lam, pinned):
     iters = np.zeros(n, dtype=np.int64)
     gprev = np.full(n, np.inf)
     for _ in range(cells.DEFAULT_MAX_ITER):
-        G = cells._grad_rows(W, Z, lam)
+        G = cells._grad_rows(W, Z, lam[:, None])
         G[pinned, 3] = 0.0
         gnorm = np.linalg.norm(G, axis=1)
         abort_now = active & (gnorm > gprev * guard)
@@ -555,12 +556,13 @@ def test_prox_full_signed_permutation_equivariance():
 
 def test_one_kernel_pass_per_prox(monkeypatch):
     # both convex cases of every cell are solved in one projected-GD batch,
-    # whose rows and pins are exactly the stacked case rows the screen keeps;
-    # a call whose rows are all screened still makes its one, empty, batch
+    # whose rows, penalties and pins are exactly the stacked normalized case
+    # rows the screen keeps; a call whose rows are all screened still makes
+    # its one, empty, batch
     kernel, batches = cells._gd_solve_batched, []
 
     def recording(Z, lam, pinned):
-        batches.append((Z.copy(), np.array(pinned)))
+        batches.append((Z.copy(), np.array(lam), np.array(pinned)))
         return kernel(Z, lam, pinned)
 
     monkeypatch.setattr(cells, "_gd_solve_batched", recording)
@@ -572,36 +574,38 @@ def test_one_kernel_pass_per_prox(monkeypatch):
         batches.clear()
         call(arg, lam)
         Z, _, _ = pos_sort_cells(np.reshape(arg, (-1, 4)))
+        Z, lam_rows, _ = normalized_rows(Z, lam)
         Z, pinned = np.vstack([Z, Z]), np.arange(2 * len(Z)) < len(Z)
-        keep = ~cells._screened(Z, lam, pinned)
-        [(Z_kernel, pinned_kernel)] = batches
+        lam_rows = np.concatenate([lam_rows, lam_rows])
+        keep = ~cells._screened(Z, lam_rows, pinned)
+        [(Z_kernel, lam_kernel, pinned_kernel)] = batches
         assert Z_kernel.tobytes() == Z[keep].tobytes()
+        assert lam_kernel.tobytes() == lam_rows[keep].tobytes()
         assert np.array_equal(pinned_kernel, pinned[keep])
         assert (len(Z_kernel), int(np.count_nonzero(pinned_kernel))) == shape
 
 
 def test_screen_drops_only_rows_the_case_solve_calls_invalid():
     # the screen is sound: every row it drops is one that _solve_case_rows
-    # marks invalid, at every scale and lam, and it raises nothing. Cells
-    # run to a largest entry of 1e153 with the lams below, and to 1e100 with
-    # the scale-equivariant lam / s too; above about 5e102 a stalled row's
-    # Newton polish overflows in its unscaled objective
+    # marks invalid, at every scale and lam, and it raises nothing. The rows
+    # are normalized as prox_cells normalizes them, and each scale runs the
+    # lams below and the scale-equivariant lam / s
     rng = np.random.default_rng(31)
     lams0 = (0.0, 1e-3, 0.01, 0.1, 0.3, 1.0, 3.0, 100.0, sys.float_info.max)
     screened = 0
-    for s in (1e-3, 1.0, 1e3, 1e50, 1e100, 1e153):
+    for s in (1e-3, 1.0, 1e3, 1e50, 1e100, 1e153, 1e200, 1e300):
         cells_mat = rng.normal(size=(300, 4))
         cells_mat *= s / np.abs(cells_mat).max(axis=1, keepdims=True)
         Z, _, _ = pos_sort_cells(cells_mat)
         Z, pinned = np.vstack([Z, Z]), np.arange(2 * len(Z)) < len(Z)
-        lams = lams0 + (tuple(lam / s for lam in lams0[1:-1]) if s <= 1e100 else ())
-        for lam in lams:
+        for lam in lams0 + tuple(lam / s for lam in lams0[1:-1]):
+            Zn, lam_rows, _ = normalized_rows(Z, lam)
             with np.errstate(all="raise"):
-                dropped = cells._screened(Z, lam, pinned)
-            _, valid, _, _ = cells._solve_case_rows(Z, lam, pinned)
+                dropped = cells._screened(Zn, lam_rows, pinned)
+                _, valid, _, _ = cells._solve_case_rows(Zn, lam_rows, pinned)
             assert not np.any(dropped & valid), (s, lam)
             screened += np.count_nonzero(dropped)
-    assert screened > 2000  # 4634 of 53,400 rows
+    assert screened > 2000  # 6659 of 76,800 rows
 
     # at lam = 0 the e2 of a cell of 1e154 overflows, and 0 * inf is NaN: a
     # NaN bound drops no row
@@ -620,6 +624,7 @@ def test_prox_cells_equals_the_unscreened_prox_bit_for_bit():
     cells_mat = rng.normal(size=(500, 4)) * np.exp(rng.uniform(-2.0, 2.0, size=(500, 1)))
     calls = [(cells_mat, lam) for lam in (0.0, 0.01, 0.1, 0.3, 1.0, 3.0)]
     calls += [(np.array([p.values[0]]), p.values[1]) for p in POLISH_CELLS]
+    calls.append((np.ldexp(cells_mat, 900), np.ldexp(0.3, -900)))
     for C, lam in calls:
         assert prox_cells(C, lam).tobytes() == prox_cells_unscreened(C, lam).tobytes(), lam
 
@@ -642,7 +647,7 @@ def test_dense_stationary_point_outside_the_convex_region_loses_the_case_pick():
 
 def _kernel_and_prox(monkeypatch, scalar_rows, Z, pinned, cells_mat, lam):
     monkeypatch.setattr(cells, "_SCALAR_ROWS", scalar_rows)
-    out = cells._gd_solve_batched(Z, lam, pinned)
+    out = cells._gd_solve_batched(Z, np.full(len(Z), lam), pinned)
     return [a.tobytes() for a in out], prox_cells(cells_mat, lam).tobytes()
 
 
@@ -712,19 +717,26 @@ def test_prox_cells_at_the_penalty_cap_is_clamp_top2_without_warnings():
 
 def test_prox_cells_of_a_cell_near_1e150_is_the_scaled_prox_without_warnings():
     # the dense case's triple products (~1e449) pass the largest float unless
-    # the case pick scores the cell scaled down
+    # the solvers and the case pick work on the cell scaled down
     with warnings.catch_warnings(), np.errstate(all="raise"):
         warnings.simplefilter("error")
         out = prox_cells([[1e150, 7e149, 5e149, 3e149]], 1e-151)
+        # its 3-sparse row stalls at the iteration cap and goes to the Newton polish
+        polished = prox_cells([[1.1804827732401302e150, 1.0162421188767252e150,
+                                9.966559197219987e149, 1.6439813307545067e149]], 1e-150)
+        # prox_enumerate's objective, 0.5 (z3**2 + z4**2), is past the largest float
+        res = prox_enumerate([1e300, 5e299, 3e299, 1e299], 1e-300)
+    assert res.case_tag == "two_sparse" and res.objective == np.inf
     expect = 1e150 * prox_cells([[1.0, 0.7, 0.5, 0.3]], 0.1)
     assert np.count_nonzero(expect) == 4
     assert np.allclose(out, expect, rtol=1e-12, atol=0.0)
+    assert np.array_equal(polished, [[1.1804827732401302e150, 1.0162421188767252e150, 0.0, 0.0]])
 
 
-@pytest.mark.parametrize("k", [1, 37, 100, 300, 500])
+@pytest.mark.parametrize("k", [1, 37, 100, 300, 500, 700, 1000])
 def test_prox_cells_is_equivariant_under_power_of_two_scaling(k):
     # scaling cells by 2**k and lam by 2**-k is exact, so the prox scales
-    # bit for bit, also where the unscaled triple products overflow
+    # bit for bit, also where the unscaled pairwise products overflow
     rng = np.random.default_rng(28)
     cells_mat = rng.normal(size=(300, 4))
     cells_mat = cells_mat[np.max(np.abs(cells_mat), axis=1) >= 1.0]
@@ -785,9 +797,12 @@ def test_lambda_thresholds_zero_z3():
     assert lambda_thresholds(np.array([2.0, 1.0, 0.0, 0.0])) == 0.0
 
 
-def test_lambda_thresholds_degenerate_error():
-    with pytest.raises(ValueError):
-        lambda_thresholds(np.zeros(4))
+def test_lambda_thresholds_of_cells_with_a_zero_product():
+    # z1 z2 = 0 or an underflowing z1 z2: z3 = 0 gives 0, and z3 / z1 / z2
+    # does not underflow
+    for z in ([0.0] * 4, [1.0, 0.0, 0.0, 0.0], [1e-200, 1e-200, 0.0, 0.0]):
+        assert lambda_thresholds(np.array(z)) == 0.0
+    assert lambda_thresholds(np.array([1e-200, 1e-200, 1e-200, 0.0])) == pytest.approx(1e200)
 
 
 def test_kkt_two_sparse_above_and_below_threshold():

@@ -157,6 +157,21 @@ def test_prox_path_csv(tmp_path):
         assert float(last[1]) == float(z.split(",")[0])
 
 
+def test_prox_path_of_cells_with_a_zero_product(tmp_path):
+    # [1, 0, 0, 0] is 2-sparse already, so its threshold is 0 and every
+    # penalty keeps it; the threshold of the tiny cell is z3 / z1 / z2 = 1e200
+    out = tmp_path / "path.csv"
+    for z, lam2 in (("1,0,0,0", 0.0), ("1e-200,1e-200,1e-200,0", 1e200)):
+        code = main(["prox-path", "--z", z, "--lambda-min", "0.01",
+                     "--lambda-max", "2.0", "--points", "5", "--out", str(out)])
+        assert code == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 5
+        assert all(float(row[6]) == pytest.approx(lam2) for row in rows)
+        if lam2 == 0.0:
+            assert all(row[1:6] == ["1.0", "0.0", "0.0", "0.0", "two_sparse"] for row in rows)
+
+
 def test_prox_path_bad_z(tmp_path):
     code = main(["prox-path", "--z", "1,2,3", "--lambda-min", "0.1",
                  "--lambda-max", "1.0", "--points", "5", "--out", str(tmp_path / "x.csv")])
