@@ -149,7 +149,13 @@ def _grad_rows(W, Z, lam):
 
 
 def cell_objective(w: np.ndarray, z: np.ndarray, lam: float) -> float:
-    return float(_objective_rows(np.asarray(w, float), np.asarray(z, float), lam))
+    """The prox objective 0.5*||w - z||^2 + lam * (|w1 w2 w3| + |w2 w3 w4| +
+    |w3 w4 w1| + |w4 w1 w2|) of the signed cell w at the signed input z, as
+    a float. On nonnegative w it is _objective_rows' value bit for bit."""
+    w, z = np.asarray(w, float), np.asarray(z, float)
+    a1, a2, a3, a4 = np.abs(w)
+    reg = a1 * a2 * a3 + a2 * a3 * a4 + a3 * a4 * a1 + a4 * a1 * a2
+    return float(0.5 * np.sum((w - z) ** 2, axis=-1) + lam * reg)
 
 
 def hessian_f(w: np.ndarray, lam: float) -> np.ndarray:
@@ -319,9 +325,10 @@ def _gd_solve_batched(Z, lam, pinned):
 def _newton_polish(w, z, lam, pinned, tol_eff):
     """Newton refinement for rows where plain GD stalls near a flat optimum.
 
-    Operates on the free coordinates only and keeps iterates nonnegative.
-    Returns (w, success) where success means the projected-gradient residual
-    fell below tol_eff.
+    Takes full projected Newton steps max(w + d, 0) on the free coordinates
+    while each strictly lowers the projected-gradient residual, the one test
+    of the polish. Returns (w, success): the last iterate kept, and whether
+    its residual is within tol_eff.
     """
     w = np.array(w, dtype=np.float64)
     z = np.asarray(z, dtype=np.float64)
@@ -341,20 +348,12 @@ def _newton_polish(w, z, lam, pinned, tol_eff):
             d = np.linalg.solve(A + 1e-14 * np.eye(dim), -g[:dim])
         except np.linalg.LinAlgError:
             return w, False
-        f0 = cell_objective(w, z, lam)
-        alpha = 1.0
-        improved = False
-        for _ in range(50):
-            trial = w.copy()
-            trial[:dim] = np.maximum(w[:dim] + alpha * d, 0.0)
-            if cell_objective(trial, z, lam) <= f0:
-                w = trial
-                improved = True
-                break
-            alpha *= 0.5
-        if not improved:
+        trial = w.copy()
+        trial[:dim] = np.maximum(w[:dim] + d, 0.0)
+        res_t, g_t = residual(trial)
+        if not res_t < res:  # a NaN residual fails too
             return w, False
-        res, g = residual(w)
+        w, res, g = trial, res_t, g_t
     return w, res <= tol_eff
 
 
@@ -385,9 +384,9 @@ def _solve_case_rows(Z, lam, pinned):
         if ok:
             conv[idx] = _second_order_ok(W[idx], lam_i, pin)
             continue
-        # the polish can reject a step that does reach the optimum (its
-        # objective test is blind below a few ulps), so this row's GD
-        # iterate proves nothing either way
+        # the polish fails once a full Newton step stops lowering the
+        # residual, which proves nothing about the case either way, so the
+        # IPM decides this row
         w = solve_case_ipm(Z[idx], lam_i, "three_sparse" if pin else "dense")
         conv[idx] = w is not None
         if w is not None:
@@ -502,11 +501,13 @@ def solve_case_ipm(z, lam, case):
     coordinate at 0, and every step moves only the free coordinates.
     Minimizes the case objective over {w >= 0, case Hessian PSD} with the
     barrier -log det(Hessian) - sum log(w_i) over the free coordinates,
-    multiplying the path parameter by 10 per outer step. Returns the case's
-    weights, or None when the constrained minimizer is not an interior
-    stationary point of the case objective, i.e. the case cannot be the cell
-    optimum. It solves z unscaled (its objective overflows above about
-    5e102); the pipeline hands it the rows that _prox_sorted normalized.
+    multiplying the path parameter by 10 per outer step, and Newton-polishes
+    the end point. Returns the polished weights when the polish succeeds and
+    they are positive and in the PSD region, where the case objective is
+    convex, so they are its minimizer there; otherwise None, as the case
+    cannot be the cell optimum. It solves z unscaled (its objective
+    overflows above about 5e102); the pipeline hands it the rows that
+    _prox_sorted normalized.
     """
     z = _check_sorted(z)
     _check_lam(lam)
@@ -558,16 +559,13 @@ def solve_case_ipm(z, lam, case):
                 break
         t *= 10.0
 
-    # the case is the optimum only if the barrier minimizer is an interior
-    # stationary point of the plain objective; active constraints leave the
-    # plain gradient bounded away from zero
+    # a positive stationary point in the PSD region is the case's unique
+    # minimizer over that convex region, so the polished end point needs no
+    # test but these three
     scale = max(1.0, z[0])
-    thr = _POS_RTOL * scale
-    near_stationary = np.abs(_grad_rows(w, z, lam)[:dim]).max() <= 1e-3 * scale
-    if np.all(w[:dim] > thr) and near_stationary:
-        w, ok = _newton_polish(w, z, lam, pinned, tol_eff=1e-11 * scale)
-        if ok and np.all(w[:dim] > thr) and _second_order_ok(w, lam, pinned):
-            return w
+    w, ok = _newton_polish(w, z, lam, pinned, tol_eff=1e-11 * scale)
+    if ok and np.all(w[:dim] > _POS_RTOL * scale) and _second_order_ok(w, lam, pinned):
+        return w
     return None
 
 

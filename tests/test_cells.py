@@ -258,18 +258,65 @@ def test_failed_polish_takes_the_ipm_verdict(monkeypatch, z, lam):
     assert failed
 
 
+# Cells whose optimal case the IPM once ruled out: from the barrier end point
+# an objective test a few ulps wide rejected the polish's Newton steps, and
+# prox_enumerate_ipm returned a worse case.
+IPM_POLISH_CELLS = [
+    ([8.526333320576281, 3.67315108423277, 3.424155490585231, 1.6218739387844905],
+     0.08229276694289885, "three_sparse"),
+    ([7.149641260064105, 2.628224680517529, 2.2188647595255775, 0.030661609968222682],
+     0.07062835049271309, "three_sparse"),
+    ([2.4605098368006257, 2.1149933853813963, 1.8050429704461077, 1.7295907085115094],
+     0.11218185354413064, "dense"),
+    ([4.49666105734282, 3.195173559390601, 2.5591367629303927, 1.5640637240976978],
+     0.025538104163294714, "dense"),
+]
+
+
 def test_ipm_agrees_with_gd_on_reference_cases():
     for z, lam, case in [
         (np.ones(4), 0.1, "dense"),
         (np.array([1.0, 1.0, 1.0, 0.5]), 0.1, "three_sparse"),
         (np.array([1.6, 1.1, 0.8, 0.5]), 5.0, "dense"),
-    ]:
+    ] + [(np.array(z), lam, case) for z, lam, case in IPM_POLISH_CELLS]:
         wg, _, _ = solve_case_gd(z, lam, case)
         wi = solve_case_ipm(z, lam, case)
         if wg is None:
             assert wi is None
         else:
             assert np.linalg.norm(wg - wi) < 1e-6
+    for z, lam, case in IPM_POLISH_CELLS:
+        _, fo = brute_force_prox_oracle(np.array(z), lam)
+        assert abs(prox_enumerate_ipm(np.array(z), lam).objective - fo) <= 1e-9, z
+
+
+def _polish_residual(w, z, lam, pinned):
+    g = cells._grad_rows(w, z, lam)
+    g[4 - int(pinned):] = 0.0
+    return np.abs(w - np.maximum(w - 0.25 * g, 0.0)).max() / 0.25
+
+
+def test_newton_polish_never_raises_its_residual():
+    # a polish keeps a full Newton step only if it lowers the projected-
+    # gradient residual, and succeeds only within its tolerance
+    rng = np.random.default_rng(29)
+    succeeded = 0
+    for i in range(200):
+        z = sorted_abs(rng, np.exp(rng.uniform(-1.0, 1.0)))
+        lam = 10.0 ** rng.uniform(-2.0, 1.0)
+        pinned = i % 2 == 0
+        w0 = np.minimum(z, 0.5)
+        if pinned:
+            w0[3] = 0.0
+        tol = cells.DEFAULT_TOL * max(1.0, z[0])
+        w, ok = cells._newton_polish(w0, z, lam, pinned, tol)
+        res = _polish_residual(w, z, lam, pinned)
+        assert res <= _polish_residual(w0, z, lam, pinned), (z, lam, pinned)
+        assert np.all(w >= 0.0) and (not pinned or w[3] == 0.0)
+        if ok:
+            assert res <= tol, (z, lam, pinned)
+            succeeded += 1
+    assert 0 < succeeded < 200
 
 
 def test_ipm_lambda_zero_returns_input():
@@ -552,6 +599,24 @@ def test_prox_full_signed_permutation_equivariance():
         base = prox_cells(z[None, :], lam)[0]
         transformed = prox_cells((signs * z[perm])[None, :], lam)[0]
         assert np.allclose(transformed, signs * base[perm], atol=1e-12)
+
+
+def test_cell_objective_is_nonnegative_and_signed_permutation_invariant():
+    # the penalty is a sum of |w_i w_j w_k|; the quadratic is on signed w - z
+    z = np.array([1.0, -1.0, 1.0, 0.5])
+    assert cell_objective(z, z, 1.0) == 2.5
+    w = prox_cells(z[None, :], 0.3)[0]
+    assert cell_objective(w, z, 0.3) == cell_objective(np.abs(w), np.abs(z), 0.3)
+    rng = np.random.default_rng(30)
+    for _ in range(200):
+        w, z = rng.normal(size=4), rng.normal(size=4)
+        lam = 10.0 ** rng.uniform(-2.0, 1.0)
+        perm, signs = rng.permutation(4), rng.choice([-1.0, 1.0], size=4)
+        f = cell_objective(w, z, lam)
+        assert f >= 0.0
+        assert cell_objective(signs * w[perm], signs * z[perm], lam) == pytest.approx(f, rel=1e-12)
+        a, b = np.abs(w), np.abs(z)
+        assert cell_objective(a, b, lam) == float(cells._objective_rows(a, b, lam))
 
 
 def test_one_kernel_pass_per_prox(monkeypatch):
