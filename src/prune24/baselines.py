@@ -15,7 +15,7 @@ hard-threshold / soft-threshold / shrinkage cell proxes.
 import numpy as np
 
 from .cells import prox_simple_cells
-from .pruner import check_problem, keep_top2, mask_of, proximal_prune_loop
+from .pruner import check_problem, clamp_top2, keep_top2, mask_of, proximal_prune_loop
 
 
 def wanda_prune(W_star: np.ndarray, H: np.ndarray):
@@ -86,16 +86,28 @@ def sparsegpt_prune(W_star: np.ndarray, H: np.ndarray):
     return W, mask
 
 
+# The R2 prox divides all but each cell's two largest |v| by 1 + lam, so it
+# never zeroes an entry. From 1 + lam >= 1/sqrt(eps) on, the two dropped
+# entries carry at most eps of their cell's squared norm, and the cell is
+# clamped: the max_iter clamp, early, with the top-2 set of that iteration.
+_R2_CLAMP_SHRINK = 1.0 / np.sqrt(np.finfo(float).eps)
+
+
 def simple_reg_prune(W_star, H, kind, sched=None, cfg=None):
     """Proximal pipeline with the closed-form R0/R1/R2 cell proxes.
 
-    R2 only shrinks, so it always runs out the iteration budget and is
-    finished by clamping each cell to its two largest entries.
+    R2 only shrinks, so its prox clamps each cell to its two largest entries
+    once 1 + lam >= 1/sqrt(eps), and the loop ends there, sparsity reached
+    (iteration 2275 of the default schedule), unless max_iter ends it first
+    with its own clamp.
     """
     if kind not in ("R0", "R1", "R2"):
         raise ValueError(f"unknown kind {kind!r}")
 
     def cell_prox(cells, lam):
-        return prox_simple_cells(cells, lam, kind)
+        out = prox_simple_cells(cells, lam, kind)
+        if kind == "R2" and 1.0 + lam >= _R2_CLAMP_SHRINK:
+            return clamp_top2(out)
+        return out
 
     return proximal_prune_loop(W_star, H, sched, cfg, cell_prox)

@@ -2,9 +2,18 @@ import numpy as np
 import pytest
 
 from prune24.baselines import simple_reg_prune, sparsegpt_prune, wanda_prune
-from prune24.harness import toy_problem
+from prune24.cells import prox_simple_cells
+from prune24.harness import SyntheticSpec, gen_synthetic, toy_problem
 from prune24.linalg import hessian_from_data, layer_loss
-from prune24.pruner import LambdaSchedule, PruneConfig, is_24_sparse, masked_gd
+from prune24.pruner import (
+    LambdaSchedule,
+    PruneConfig,
+    is_24_sparse,
+    keep_top2,
+    masked_gd,
+    proximal_prune_loop,
+    schedule_lambda,
+)
 
 from bad_inputs import BAD_INPUTS, bad_problem, indefinite_problem
 from reference import brute_force_mask_search
@@ -210,6 +219,41 @@ def test_simple_reg_r2_always_hits_iteration_cap():
     W, _, report = simple_reg_prune(W_star, H, "R2", cfg=cfg)
     assert report.terminated_by == "max_iter"
     assert is_24_sparse(W)  # clamped at the cap
+
+
+def test_r2_prox_shrinks_dropped_entries_below_the_smaller_kept_one():
+    # the inequality simple_reg_prune's R2 clamp rests on
+    rng = np.random.default_rng(60)
+    for lam in 10.0 ** rng.uniform(-3, 12, size=20):
+        C = rng.normal(size=(500, 4)) * 10.0 ** rng.uniform(-3, 3, size=(500, 1))
+        C[:50, 1] = C[:50, 0]  # ties
+        A = np.abs(prox_simple_cells(C, lam, "R2"))
+        kept = keep_top2(np.abs(C))
+        smaller_kept = np.min(np.where(kept, A, np.inf), axis=1)
+        assert np.all(A[~kept].reshape(-1, 2) <= (smaller_kept / (1.0 + lam))[:, None])
+
+
+def _r2(cells, lam):
+    return prox_simple_cells(cells, lam, "R2")
+
+
+@pytest.mark.parametrize("rows, d, alpha, seed", [
+    *[(1, 32, alpha, seed) for alpha in (1.0, 0.5, 0.3) for seed in (1, 2, 3)],
+    *[(4, 64, 0.5, seed) for seed in (1, 2)],
+])
+def test_simple_reg_r2_stops_at_the_shrinkage_bound_with_the_full_budget_mask(rows, d, alpha,
+                                                                               seed):
+    _, H = gen_synthetic(SyntheticSpec(d=d, alpha=alpha, seed=seed))
+    W_star = np.random.default_rng(seed).normal(size=(rows, d))
+    W, mask, report = simple_reg_prune(W_star, H, "R2")
+    W_full, mask_full, report_full = proximal_prune_loop(W_star, H, None, None, _r2)
+    assert report_full.terminated_by == "max_iter"
+    assert report.terminated_by == "sparsity_reached"
+    bound = 1.0 / np.sqrt(np.finfo(float).eps)
+    first = next(k for k in range(5000) if 1.0 + schedule_lambda(LambdaSchedule(), k) >= bound)
+    assert report.iterations == first + 1 == 2275
+    assert np.array_equal(mask, mask_full)
+    assert layer_loss(W, W_star, H) == pytest.approx(layer_loss(W_full, W_star, H), rel=1e-12)
 
 
 def test_simple_reg_unknown_kind():

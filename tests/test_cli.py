@@ -253,8 +253,10 @@ def test_shape_mismatch_fails_cleanly(tmp_path, instance, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
-def test_prune_l2_steep_schedule_runs_out_budget(tmp_path, instance):
-    # beta**k overflows a float near k=3893, inside the default 5000 iterations
+def test_prune_l2_steep_schedule_clamps_at_the_shrinkage_bound(tmp_path, instance):
+    # at beta 1.2, 1 + lam passes 1/sqrt(eps) at k = 125 and l2 clamps there,
+    # long before beta**k overflows near k = 3893 (test_pruner runs the loop
+    # with the plain R2 prox into the overflow)
     w, h = instance
     out = tmp_path / "o.bin"
     code = main(["prune", "--method", "l2", "--weights", str(w), "--hessian", str(h),

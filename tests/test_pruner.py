@@ -481,6 +481,19 @@ def test_prune_prox_max_iter_fallback_clamps():
     assert np.array_equal(mask_of(W), mask)
 
 
+def test_loop_with_plain_r2_prox_survives_beta_overflow():
+    # at beta 1.2, beta**k overflows a float near k = 3893; schedule_lambda
+    # caps lam at the largest float, and the R2 prox must stay finite there
+    W_star, H = _layer(2, 16, 0.5, 36)
+    W, mask, report = proximal_prune_loop(
+        W_star, H, LambdaSchedule(beta=1.2), PruneConfig(max_iter=5000, gd_steps=50),
+        lambda cells, lam: prox_simple_cells(cells, lam, "R2"))
+    assert report.terminated_by == "max_iter" and report.iterations == 5000
+    assert report.final_lambda == sys.float_info.max
+    assert np.all(np.isfinite(W)) and is_24_sparse(W)
+    assert np.array_equal(mask_of(W), mask)
+
+
 @pytest.mark.parametrize("bad, where", BAD_INPUTS)
 def test_proximal_pipeline_rejects_non_finite_input(bad, where):
     W_star, H, message = bad_problem(bad, where)
