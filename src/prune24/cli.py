@@ -33,8 +33,8 @@ def run_method(method, W_star, H, sched, cfg):
     """Prune W* with one of METHODS; returns (W, mask, iterations).
 
     iterations counts outer proximal iterations for prox/l0/l1/l2, the
-    masked gradient steps masked_gd took (at most cfg.gd_steps) for the -gd
-    variants, and is 0 for wanda and sparsegpt.
+    masked recovery iterations masked_gd took (at most cfg.gd_steps) for the
+    -gd variants, and is 0 for wanda and sparsegpt.
     The pruners are looked up as module globals at call time, so wrappers put
     on this module's names see every call. Raises ValueError on an unknown
     method.
@@ -126,7 +126,8 @@ def _cmd_eval_loss(args):
 
 
 def _add_schedule_flags(p):
-    p.add_argument("--gd-steps", type=int, default=PruneConfig.gd_steps)
+    p.add_argument("--gd-steps", type=int, default=PruneConfig.gd_steps,
+                   help="cap on the masked recovery iterations")
     p.add_argument("--lambda0", type=float, default=LambdaSchedule.lambda0)
     p.add_argument("--beta", type=float, default=LambdaSchedule.beta)
     p.add_argument("--adaptive-lambda", type=float, default=None, metavar="LAMBDA0_TILDE",
@@ -170,7 +171,8 @@ def build_parser():
     p.add_argument("--seeds", type=int, default=5)
     p.add_argument("--methods", default="all")
     p.add_argument("--out", required=True)
-    p.add_argument("--gd-steps", type=int, default=PruneConfig.gd_steps)
+    p.add_argument("--gd-steps", type=int, default=PruneConfig.gd_steps,
+                   help="cap on the masked recovery iterations")
     p.add_argument("--max-iter", type=int, default=PruneConfig.max_iter)
     p.set_defaults(func=_cmd_bench)
 

@@ -3,7 +3,7 @@
 The pipeline rescales (W*, H) by the activation scales, alternates full-matrix
 gradient steps on the reconstruction loss with the per-cell prox under an
 exponentially growing penalty until every cell is exactly 2:4 sparse, freezes
-the mask, recovers the surviving weights with masked gradient steps, and
+the mask, recovers the surviving weights by masked conjugate gradients, and
 undoes the rescaling.
 """
 
@@ -34,7 +34,7 @@ class LambdaSchedule:
 @dataclass
 class PruneConfig:
     max_iter: int = 5000       # outer proximal-gradient iterations
-    gd_steps: int = 1000       # cap on the masked gradient steps after the mask freezes
+    gd_steps: int = 1000       # cap on the masked recovery iterations after the mask freezes
 
 
 @dataclass
@@ -43,8 +43,8 @@ class PruneReport:
     final_lambda: float
     # (index, loss) after each outer iteration, from the next step's residual
     # (layer_loss to roundoff); then layer_loss after the max_iter clamp (same
-    # index as the last iteration) and after the masked gradient steps (index
-    # iterations + the steps masked_gd took, at most gd_steps)
+    # index as the last iteration) and after the masked recovery (index
+    # iterations + the recovery's iterations, at most gd_steps)
     loss_trace: list = field(default_factory=list)
     terminated_by: str = "sparsity_reached"
 
@@ -113,29 +113,20 @@ def clamp_top2(W: np.ndarray) -> np.ndarray:
     return np.where(keep_top2(np.abs(W)), W, 0.0)
 
 
-def masked_gd(W, W_star, H, mask, steps, eta=None):
-    """Gradient descent on the reconstruction loss restricted to a mask.
+def masked_gd(W, W_star, H, mask, steps):
+    """Masked recovery: minimize the reconstruction loss over the weights
+    that the mask keeps.
 
-    Returns (W, steps taken). Masked-out entries stay exactly zero. Each step
-    forms the masked gradient G = mask * (W H - W* H) (half the gradient) and
-    moves W by -2 eta G. The loop stops at the first step whose ||G||_F is not
-    smaller than the previous step's, or after `steps` steps.
-
-    Why the stop is exact: with eta = 1/(2 gamma_max(H)), the default, one
-    step maps each row g of G to (I - P H P / gamma_max) g, where P projects
-    onto the row's mask and 0 <= PHP <= gamma_max I. g = P H e for the row's
-    error e, so g is orthogonal to the null space of PHP, and ||g|| falls
-    strictly unless g = 0. So in exact arithmetic ||G|| never grows; only
-    roundoff stops it before the cap, and every step up to the stop is the
-    plain recurrence above. An explicit eta above 1/(2 gamma_max) is outside
-    this argument: there ||G|| may grow, and the loop then ends at the first
-    step where it does.
+    Returns (W, iterations taken). Masked-out entries stay exactly zero. Each
+    row is solved by Jacobi-preconditioned conjugate gradients on its masked
+    normal equations (mask * (W H) = mask * (W* H)), one (rows x d) by (d x d)
+    product per iteration, with the step scalars per row; see _masked_cg for
+    the stop. `steps` caps the iterations.
 
     Raises the ValueErrors of check_problem, and ValueError when W or mask
     is not shaped like W*, W is not finite, a mask entry is neither 0 nor 1,
-    or steps is not a nonnegative integer. The default step comes from
-    max_eigenvalue, so it also raises its ValueError on an indefinite H; an
-    explicit eta skips that check.
+    or steps is not a nonnegative integer. H is certified by max_eigenvalue,
+    so it also raises its ValueError on an indefinite H.
     """
     W_star, H = check_problem(W_star, H)
     if np.shape(W) != W_star.shape or np.shape(mask) != W_star.shape:
@@ -148,23 +139,55 @@ def masked_gd(W, W_star, H, mask, steps, eta=None):
         raise ValueError("W must be finite (found NaN or inf)")
     if not np.all((mask == 0.0) | (mask == 1.0)):
         raise ValueError("mask entries must be 0 or 1")
+    max_eigenvalue(H)
+    return _masked_cg(W, W_star @ H, H, mask, steps)
+
+
+def _masked_cg(W, WsH, H, mask, steps):
+    """masked_gd on checked input, with WsH = W* H; H is not certified here.
+
+    Row i minimizes its loss over the vectors that its mask keeps, so its
+    residual is r = mask * (W* H - W H) and its curvature along p is p^T H p.
+    Each row runs textbook preconditioned CG in the original coordinates,
+    with z = r / diag(H) (0 where diag(H) is 0); in the pipeline H has a unit
+    diagonal, and z is r bit for bit. A row stops for good once
+    ||r||^2 <= (d eps)^2 ||mask * (W* H)||^2, its roundoff floor, or once its
+    curvature p^T H p is not positive (p lies in the null space of H). The
+    loop ends when every row has stopped, or after `steps` iterations. A
+    row whose masked residual is 0 at the start (an all-zero mask row, or a
+    row already at its optimum) keeps its values, and when every row's is,
+    W * mask is returned bit for bit.
+    """
+    diag = np.diagonal(H)
+    minv = np.divide(1.0, diag, out=np.zeros_like(diag), where=diag > 0.0)
     W = W * mask
-    if eta is None:
-        eta = 1.0 / (2.0 * max(max_eigenvalue(H), np.finfo(float).tiny))
-    WsH = W_star @ H
-    prev = np.inf
+    R = WsH - W @ H
+    R *= mask
+    B = WsH * mask
+    floor = (W.shape[1] * np.finfo(float).eps) ** 2 * np.einsum("ij,ij->i", B, B)
+    Z = R * minv
+    P = Z.copy()
+    rz = np.einsum("ij,ij->i", R, Z)
+    live = np.ones(W.shape[0], dtype=bool)
     for k in range(steps):
-        # G is the one rows x d temporary of a step; the in-place operations
-        # do the arithmetic of W - 2 eta (mask * (W @ H - WsH))
-        G = W @ H
-        G -= WsH
-        G *= mask
-        norm2 = float(np.vdot(G, G))
-        if not norm2 < prev:
+        live &= np.einsum("ij,ij->i", R, R) > floor
+        if not live.any():
             return W, k
-        prev = norm2
-        G *= 2.0 * eta
-        W -= G
+        Q = P @ H
+        Q *= mask
+        pq = np.einsum("ij,ij->i", P, Q)
+        live &= pq > 0.0
+        if not live.any():
+            return W, k
+        alpha = np.divide(rz, pq, out=np.zeros_like(rz), where=live)[:, None]
+        W += alpha * P
+        R -= alpha * Q
+        np.multiply(R, minv, out=Z)
+        rz_next = np.einsum("ij,ij->i", R, Z)
+        beta = np.divide(rz_next, rz, out=np.zeros_like(rz), where=live)[:, None]
+        rz = rz_next
+        P *= beta
+        P += Z
     return W, steps
 
 
@@ -275,7 +298,9 @@ def proximal_prune_loop(W_star, H, sched, cfg, cell_prox):
         trace.append((k, layer_loss(W, W_t, H_t)))
 
     mask = mask_of(W)
-    W, steps = masked_gd(W, W_t, H_t, mask, cfg.gd_steps, eta)
+    # H_t is certified above, so the recovery skips masked_gd's input checks
+    # and its second eigendecomposition
+    W, steps = _masked_cg(W, WsH, H_t, mask, cfg.gd_steps)
     trace.append((k + steps, layer_loss(W, W_t, H_t)))
 
     W = unprecondition(W, scales)

@@ -1,8 +1,11 @@
 """Exact references that only the tests use.
 
-_masked_least_squares_loss refits one row on a fixed support by solving its
+masked_least_squares refits one row on a fixed support by solving its
 least-squares normal equations; brute_force_mask_search enumerates every
-2:4 mask of a tiny instance with that refit. brute_force_prox_oracle is a
+2:4 mask of a tiny instance with that refit. masked_pcg_rows runs textbook
+Jacobi-preconditioned CG on each row's masked normal equations, one row at
+a time, for the masked recovery to replay, and calibration_problem draws a
+layer whose H comes from correlated calibration-style activations. brute_force_prox_oracle is a
 grid-search reference for the sorted cell prox, prox_enumerate_ipm the same
 prox with the interior-point case solver, and kkt_check tests a cell for
 first-order optimality. regularizer_rNM is the general N:M penalty,
@@ -36,7 +39,8 @@ from prune24.cells import (
     pos_sort_cells,
     solve_case_ipm,
 )
-from prune24.linalg import _check_shapes
+from prune24.linalg import _check_shapes, hessian_from_data
+from prune24.rng import SplitMix64
 
 
 def regularizer_rNM(w: np.ndarray, N: int, M: int) -> float:
@@ -180,7 +184,7 @@ def gd_iterates(z, lam, case):
     return np.array(out)
 
 
-def _masked_least_squares_loss(w_star, H, keep):
+def masked_least_squares(w_star, H, keep):
     """Exact minimum loss for one row under a fixed support."""
     K = np.flatnonzero(keep)
     target = H[K, :] @ w_star
@@ -193,6 +197,53 @@ def _masked_least_squares_loss(w_star, H, keep):
     w[K] = wk
     delta = w - w_star
     return float(delta @ H @ delta), w
+
+
+def masked_pcg_rows(W, W_star, H, mask, iterations):
+    """`iterations` steps of textbook Jacobi-preconditioned CG on each row's
+    masked normal equations H_KK w_K = (H w*)_K, K the row's kept columns,
+    started from W * mask, with no stop rule."""
+    out = W * mask
+    for i in range(W.shape[0]):
+        K = np.flatnonzero(mask[i])
+        A = H[np.ix_(K, K)]
+        diag = np.diag(A)
+        minv = np.divide(1.0, diag, out=np.zeros_like(diag), where=diag > 0.0)
+        x = out[i, K]
+        r = (W_star[i] @ H)[K] - A @ x
+        z = minv * r
+        p = z.copy()
+        rz = r @ z
+        for _ in range(iterations):
+            q = A @ p
+            alpha = rz / (p @ q)
+            x = x + alpha * p
+            r = r - alpha * q
+            z = minv * r
+            rz_next = r @ z
+            p = z + (rz_next / rz) * p
+            rz = rz_next
+        out[i, K] = x
+    return out
+
+
+def calibration_problem(d, rows, samples, seed):
+    """(W*, H) with H = hessian_from_data(X) of calibration-style inputs.
+
+    X = diag(s) (A F + 0.3 E): 32 shared factors (A of shape d x 32 divided
+    by sqrt(32), F of shape 32 x samples), noise E, channel scales
+    s = exp(N(0, 1)) and 4 outlier channels multiplied by 30, all drawn from
+    one SplitMix64 stream. With fewer samples than channels H is singular;
+    with more it is ill-conditioned (cond(H) near 1e7-1e8 at d = 256).
+    """
+    stream = SplitMix64(seed)
+    A = stream.normal(d * 32).reshape(d, 32) / np.sqrt(32.0)
+    F = stream.normal(32 * samples).reshape(32, samples)
+    E = stream.normal(d * samples).reshape(d, samples)
+    s = np.exp(stream.normal(d))
+    s[:: d // 4] *= 30.0
+    W_star = stream.normal(rows * d).reshape(rows, d)
+    return W_star, hessian_from_data(s[:, None] * (A @ F + 0.3 * E))
 
 
 def brute_force_mask_search(W_star: np.ndarray, H: np.ndarray):
@@ -223,7 +274,7 @@ def brute_force_mask_search(W_star: np.ndarray, H: np.ndarray):
         best_loss, best_keep = np.inf, None
         for combo in product(cell_patterns, repeat=n_cells):
             keep = np.concatenate(combo)
-            loss, _ = _masked_least_squares_loss(W_star[r], H, keep)
+            loss, _ = masked_least_squares(W_star[r], H, keep)
             if loss < best_loss:
                 best_loss, best_keep = loss, keep
         best_mask[r] = best_keep
