@@ -160,28 +160,29 @@ def _masked_cg(W, WsH, H, mask, steps):
     """
     diag = np.diagonal(H)
     minv = np.divide(1.0, diag, out=np.zeros_like(diag), where=diag > 0.0)
+    # five rows x d arrays, updated in place: Z also holds the alpha products
+    # before it takes the next preconditioned residual
     W = W * mask
-    R = WsH - W @ H
-    R *= mask
-    B = WsH * mask
-    floor = (W.shape[1] * np.finfo(float).eps) ** 2 * np.einsum("ij,ij->i", B, B)
+    R = (WsH - W @ H) * mask
+    floor = (W.shape[1] * np.finfo(float).eps) ** 2 * np.einsum("ij,ij,ij->i", WsH, WsH, mask)
     Z = R * minv
     P = Z.copy()
+    Q = np.empty_like(P)
     rz = np.einsum("ij,ij->i", R, Z)
     live = np.ones(W.shape[0], dtype=bool)
     for k in range(steps):
         live &= np.einsum("ij,ij->i", R, R) > floor
         if not live.any():
             return W, k
-        Q = P @ H
+        np.matmul(P, H, out=Q)
         Q *= mask
         pq = np.einsum("ij,ij->i", P, Q)
         live &= pq > 0.0
         if not live.any():
             return W, k
         alpha = np.divide(rz, pq, out=np.zeros_like(rz), where=live)[:, None]
-        W += alpha * P
-        R -= alpha * Q
+        W += np.multiply(alpha, P, out=Z)
+        R -= np.multiply(alpha, Q, out=Z)
         np.multiply(R, minv, out=Z)
         rz_next = np.einsum("ij,ij->i", R, Z)
         beta = np.divide(rz_next, rz, out=np.zeros_like(rz), where=live)[:, None]
