@@ -160,15 +160,14 @@ def _masked_cg(W, WsH, H, mask, steps):
     """
     diag = np.diagonal(H)
     minv = np.divide(1.0, diag, out=np.zeros_like(diag), where=diag > 0.0)
-    # five rows x d arrays, updated in place: Z also holds the alpha products
-    # before it takes the next preconditioned residual
+    # four rows x d arrays, updated in place: once Q has moved R, it holds
+    # alpha P and then the preconditioned residual z
     W = W * mask
     R = (WsH - W @ H) * mask
     floor = (W.shape[1] * np.finfo(float).eps) ** 2 * np.einsum("ij,ij,ij->i", WsH, WsH, mask)
-    Z = R * minv
-    P = Z.copy()
+    P = R * minv
     Q = np.empty_like(P)
-    rz = np.einsum("ij,ij->i", R, Z)
+    rz = np.einsum("ij,ij->i", R, P)
     live = np.ones(W.shape[0], dtype=bool)
     for k in range(steps):
         live &= np.einsum("ij,ij->i", R, R) > floor
@@ -181,14 +180,15 @@ def _masked_cg(W, WsH, H, mask, steps):
         if not live.any():
             return W, k
         alpha = np.divide(rz, pq, out=np.zeros_like(rz), where=live)[:, None]
-        W += np.multiply(alpha, P, out=Z)
-        R -= np.multiply(alpha, Q, out=Z)
-        np.multiply(R, minv, out=Z)
-        rz_next = np.einsum("ij,ij->i", R, Z)
+        Q *= alpha
+        R -= Q
+        W += np.multiply(alpha, P, out=Q)
+        np.multiply(R, minv, out=Q)
+        rz_next = np.einsum("ij,ij->i", R, Q)
         beta = np.divide(rz_next, rz, out=np.zeros_like(rz), where=live)[:, None]
         rz = rz_next
         P *= beta
-        P += Z
+        P += Q
     return W, steps
 
 
