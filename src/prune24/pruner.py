@@ -152,11 +152,11 @@ def _masked_cg(W, WsH, H, mask, steps):
     with z = r / diag(H) (0 where diag(H) is 0); in the pipeline H has a unit
     diagonal, and z is r bit for bit. A row stops for good once
     ||r||^2 <= (d eps)^2 ||mask * (W* H)||^2, its roundoff floor, or once its
-    curvature p^T H p is not positive (p lies in the null space of H). The
-    loop ends when every row has stopped, or after `steps` iterations. A
-    row whose masked residual is 0 at the start (an all-zero mask row, or a
-    row already at its optimum) keeps its values, and when every row's is,
-    W * mask is returned bit for bit.
+    curvature p^T H p is not positive (p is 0, or lies in the null space of
+    H to roundoff). The loop ends when every row has stopped, or after
+    `steps` iterations. A row whose masked residual is 0 at the start (an
+    all-zero mask row, or a row already at its optimum) keeps its values,
+    and when every row's is, W * mask is returned bit for bit.
     """
     diag = np.diagonal(H)
     minv = np.divide(1.0, diag, out=np.zeros_like(diag), where=diag > 0.0)

@@ -272,6 +272,21 @@ def test_masked_gd_leaves_a_row_with_nothing_to_fit_untouched():
     assert not np.array_equal(out[0], W[0])
 
 
+def test_masked_gd_stops_a_row_whose_search_direction_has_no_curvature():
+    # channel 0 has a zero diagonal but a 1e-6 coupling, which the spectral
+    # certificate accepts (the negative eigenvalue is -1e-12); the residual
+    # lies in that channel, where the preconditioner is 0, so the search
+    # direction is 0 and the row stops instead of dividing 0 by 0
+    H = np.eye(4)
+    H[0, 0] = 0.0
+    H[0, 2] = H[2, 0] = 1e-6
+    W_star = np.array([[0.0, 0.0, 1.0, 0.0]])
+    mask = np.array([[1.0, 1.0, 0.0, 0.0]])
+    out, steps = masked_gd(W_star * mask, W_star, H, mask, 10)
+    assert steps == 0
+    assert np.array_equal(out, W_star * mask)
+
+
 def test_prune_prox_toy_exact():
     W_star, H = toy_problem()
     W, mask, report = prune_prox(W_star, H)
