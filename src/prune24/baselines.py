@@ -14,8 +14,17 @@ hard-threshold / soft-threshold / shrinkage cell proxes.
 
 import numpy as np
 
+from . import pruner
 from .cells import prox_simple_cells
-from .pruner import check_problem, clamp_top2, keep_top2, mask_of, proximal_prune_loop
+from .linalg import _PSD_RTOL
+from .pruner import (
+    check_problem,
+    clamp_top2,
+    keep_top2,
+    mask_of,
+    proximal_prune_loop,
+    schedule_lambda,
+)
 
 
 def wanda_prune(W_star: np.ndarray, H: np.ndarray):
@@ -37,6 +46,34 @@ def wanda_prune(W_star: np.ndarray, H: np.ndarray):
 _DAMP_REL = 1e-8
 
 
+# rows of the diagonal blocks that _invert_lower inverts densely
+_TRI_LEAF = 64
+
+
+def _invert_lower(L):
+    """Inverse of a nonsingular lower-triangular L, exactly lower triangular.
+
+    Splits L = [[A, 0], [B, C]] and fills inv(L) = [[inv(A), 0],
+    [-inv(C) B inv(A), inv(C)]] recursively, so the work is about a third
+    of np.linalg.inv's LU solve against a dense identity. Diagonal blocks of
+    at most _TRI_LEAF rows go to np.linalg.inv, whose roundoff above their
+    diagonal is cut.
+    """
+    out = np.zeros_like(L)
+
+    def fill(lo, hi):
+        if hi - lo <= _TRI_LEAF:
+            out[lo:hi, lo:hi] = np.tril(np.linalg.inv(L[lo:hi, lo:hi]))
+            return
+        mid = (lo + hi) // 2
+        fill(lo, mid)
+        fill(mid, hi)
+        out[mid:hi, lo:mid] = -out[mid:hi, mid:hi] @ (L[mid:hi, lo:mid] @ out[lo:mid, lo:mid])
+
+    fill(0, L.shape[0])
+    return out
+
+
 def sparsegpt_prune(W_star: np.ndarray, H: np.ndarray):
     """OBS-style block pruner.
 
@@ -49,7 +86,8 @@ def sparsegpt_prune(W_star: np.ndarray, H: np.ndarray):
     cholesky(J Hd J) = L gives the upper triangular U = J inv(L) J with
     inv(Hd[b:, b:]) = U[b:, b:]^T U[b:, b:] for every b, so a block needs
     only the 4 rows U[b:b+4, b:]. Inverting Hd before factoring it would
-    fail on rank-deficient hessians that this order handles.
+    fail on rank-deficient hessians that this order handles. inv(L) is
+    formed by triangular blocks (_invert_lower), not by a dense inverse.
 
     The damping is _DAMP_REL * mean(diag(H)). Raises ValueError when the
     damped hessian is not positive definite, and on the input errors of
@@ -65,10 +103,8 @@ def sparsegpt_prune(W_star: np.ndarray, H: np.ndarray):
     except np.linalg.LinAlgError as exc:
         raise ValueError("singular or indefinite damped hessian") from exc
     del Hd
-    U = np.linalg.inv(L)
+    U = _invert_lower(L)[::-1, ::-1]
     del L
-    U *= np.tri(d, dtype=bool)  # pivoting in inv can leave roundoff above the diagonal
-    U = U[::-1, ::-1]
 
     r = np.arange(rows)[:, None]
     for b in range(0, d, 4):
@@ -91,6 +127,85 @@ def sparsegpt_prune(W_star: np.ndarray, H: np.ndarray):
 # entries carry at most eps of their cell's squared norm, and the cell is
 # clamped: the max_iter clamp, early, with the top-2 set of that iteration.
 _R2_CLAMP_SHRINK = 1.0 / np.sqrt(np.finfo(float).eps)
+# _r2_settle checks first at the first iteration with lam >= this, then at
+# each further decade of lam
+_R2_FIRST_CHECK = 100.0
+
+
+def _r2_settle(sched, cfg, W_t, H_t, WsH, gamma):
+    """The R2 pipeline's settling check (proximal_prune_loop's _settle).
+
+    The loop's gradient step is V = W - R / gamma, 0 <= H_t <= gamma I, so
+    the map W -> V is nonexpansive up to the constant term. A check at
+    iteration k takes T = keep_top2(|V|), its recovery x (_masked_cg from
+    V * T, as the loop would run it after a clamp at k) and g = x H_t - W_t
+    H_t, and bounds per row how far the iterations k+1 ... J can move V from
+    x (on T) and from -g / gamma (off T), where J is the iteration whose
+    prox clamps or the last one max_iter allows. While T holds, with
+    rho = |g T| / gamma and G = |g (1 - T)| / gamma, S = E + Y bounds both
+    moves, E the kept part of W - x and Y the dropped part of W:
+    S_{j+1} = c S_j (1 + u_j) + rho + G u_j, u_j = 1 / (1 + lam_j), from
+    E = |V T - x| and Y = |V (1 - T)| / (1 + lam_k); c = 1 + 2 _PSD_RTOL
+    allows for the roundoff eigenvalues of H_t outside [0, gamma], and rho
+    and G carry d eps times the row's scale for the roundoff of each step.
+    S grows with j, so when every cell's smallest kept |x| beats its largest
+    dropped |g| / gamma by more than 2 c S_J + rho, every top-2 set up to
+    J's, the clamp's included, is T with no ties, and the check returns
+    (x, steps). A row with nothing to fit has no margin, so it never
+    settles.
+
+    Checks run at the first iteration with lam >= _R2_FIRST_CHECK, at the
+    first of each further decade of lam and, once a decade check finds
+    every margin positive, at the iteration where the shrinking part of its
+    bound should fall below the margin. Each costs one recovery and one
+    product.
+    """
+    # J: the first iteration whose prox clamps, if max_iter allows it
+    lo, last = 0, cfg.max_iter - 1
+    while lo < last:
+        mid = (lo + last) // 2
+        if 1.0 + schedule_lambda(sched, mid, W_t) >= _R2_CLAMP_SHRINK:
+            last = mid
+        else:
+            lo = mid + 1
+    d = WsH.shape[1]
+    c = 1.0 + 2.0 * _PSD_RTOL
+    scale = np.linalg.norm(WsH, axis=1) / gamma
+    next_lam, next_k = _R2_FIRST_CHECK, last
+
+    def check(k, V, lam):
+        nonlocal next_lam, next_k
+        if k >= last or (lam < next_lam and k < next_k):
+            return None
+        keep = keep_top2(np.abs(V))
+        mask = keep.astype(np.float64)
+        x, steps = pruner._masked_cg(V * mask, WsH, H_t, mask, cfg.gd_steps)
+        g = (x @ H_t - WsH) / gamma
+        allow = d * np.finfo(float).eps * (np.linalg.norm(V, axis=1) + scale)
+        rho = np.linalg.norm(g * mask, axis=1) + allow
+        G = np.linalg.norm(g - g * mask, axis=1) + allow
+        S = (np.linalg.norm(V * mask - x, axis=1)
+             + np.linalg.norm(V - V * mask, axis=1) / (1.0 + lam))
+        with np.errstate(over="ignore"):
+            u = 1.0 / (1.0 + lam * sched.beta ** np.arange(1.0, last - k))
+        # tail[i]: the product of the factors c (1 + u) from term i on
+        tail = np.append(np.cumprod((c * (1.0 + u))[::-1])[::-1], 1.0)
+        S = tail[0] * S + tail[1:].sum() * rho + (u * tail[1:]).sum() * G
+        need = 2.0 * c * S + rho
+        kept = np.min(np.where(keep, np.abs(x), np.inf).reshape(-1, 4), axis=1)
+        dropped = np.max(np.where(keep, 0.0, np.abs(g)).reshape(-1, 4), axis=1)
+        margin = np.min((kept - dropped).reshape(V.shape[0], -1), axis=1)
+        if np.all(margin > need):
+            return x, steps
+        next_k = last
+        if lam >= next_lam:
+            next_lam = _R2_FIRST_CHECK * 10.0 ** (np.floor(np.log10(lam / _R2_FIRST_CHECK)) + 1)
+            if np.all(margin > 0.0):
+                wait = np.log(np.max(need / margin)) / np.log(sched.beta)
+                next_k = k + max(1, int(np.ceil(wait)))
+        return None
+
+    return check
 
 
 def simple_reg_prune(W_star, H, kind, sched=None, cfg=None):
@@ -99,7 +214,11 @@ def simple_reg_prune(W_star, H, kind, sched=None, cfg=None):
     R2 only shrinks, so its prox clamps each cell to its two largest entries
     once 1 + lam >= 1/sqrt(eps), and the loop ends there, sparsity reached
     (iteration 2275 of the default schedule), unless max_iter ends it first
-    with its own clamp.
+    with its own clamp. Before that, _r2_settle may prove at one of a few
+    checks that the mask is already final: the loop then clamps at the
+    check's iteration and takes the check's recovery, also reported as
+    sparsity reached, with the mask and, to roundoff, the weights of the
+    full run.
     """
     if kind not in ("R0", "R1", "R2"):
         raise ValueError(f"unknown kind {kind!r}")
@@ -110,4 +229,5 @@ def simple_reg_prune(W_star, H, kind, sched=None, cfg=None):
             return clamp_top2(out)
         return out
 
-    return proximal_prune_loop(W_star, H, sched, cfg, cell_prox)
+    return proximal_prune_loop(W_star, H, sched, cfg, cell_prox,
+                               _r2_settle if kind == "R2" else None)

@@ -56,6 +56,50 @@ def max_eigenvalue(H: np.ndarray) -> float:
     return float(eigs[-1])
 
 
+# block size of certify_psd's factorization
+_CERTIFY_BLOCK = 128
+
+
+def certify_psd(H: np.ndarray) -> None:
+    """Certify a symmetric H as PSD by one Cholesky factorization of
+    H + tau I, tau = _PSD_RTOL * max(diag(H)), without max_eigenvalue's
+    eigendecomposition.
+
+    tau is at most _PSD_RTOL times the largest eigenvalue, so every H that
+    max_eigenvalue rejects is rejected here too, and a singular PSD H passes.
+    With no positive diagonal entry, H is PSD only when it is zero. The
+    factorization runs by blocks of _CERTIFY_BLOCK columns in one copy of
+    H, so beside that copy it holds no temporary larger than a block row
+    (np.linalg.cholesky on all of H would hold two more copies). Raises
+    ValueError when H is empty, and when the factorization fails, so H is
+    indefinite.
+    """
+    H = np.asarray(H, dtype=np.float64)
+    if H.size == 0:
+        raise ValueError("hessian is empty")
+    d = H.shape[0]
+    tau = _PSD_RTOL * float(np.max(np.diagonal(H)))
+    if not tau > 0.0:
+        if np.any(H):
+            raise ValueError("hessian is indefinite: it is not zero, and no "
+                             "diagonal entry is positive")
+        return
+    A = H.copy()
+    A.flat[:: d + 1] += tau
+    for b in range(0, d, _CERTIFY_BLOCK):
+        e = b + _CERTIFY_BLOCK
+        try:
+            L = np.linalg.cholesky(A[b:e, b:e])
+        except np.linalg.LinAlgError as exc:
+            raise ValueError(f"hessian is indefinite: H + {tau:.3g} I has no "
+                             "Cholesky factor") from exc
+        # the panel's factor rows, then the Schur complement of the block,
+        # one block row at a time
+        P = np.linalg.solve(L, A[e:, b:e].T).T
+        for r in range(e, d, _CERTIFY_BLOCK):
+            A[r:r + _CERTIFY_BLOCK, e:] -= P[r - e:r - e + _CERTIFY_BLOCK] @ P.T
+
+
 # scale floor for dead input channels: keeps the transform invertible while
 # leaving live channels untouched
 _SCALE_FLOOR = 1e-8

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cells import _top2_mask, prox_cells
-from .linalg import layer_loss, max_eigenvalue, precondition, unprecondition
+from .linalg import certify_psd, layer_loss, max_eigenvalue, precondition, unprecondition
 
 
 @dataclass
@@ -125,8 +125,9 @@ def masked_gd(W, W_star, H, mask, steps):
 
     Raises the ValueErrors of check_problem, and ValueError when W or mask
     is not shaped like W*, W is not finite, a mask entry is neither 0 nor 1,
-    or steps is not a nonnegative integer. H is certified by max_eigenvalue,
-    so it also raises its ValueError on an indefinite H.
+    or steps is not a nonnegative integer. H is certified by certify_psd, one
+    Cholesky factorization, so it also raises its ValueError on an
+    indefinite H.
     """
     W_star, H = check_problem(W_star, H)
     if np.shape(W) != W_star.shape or np.shape(mask) != W_star.shape:
@@ -139,7 +140,7 @@ def masked_gd(W, W_star, H, mask, steps):
         raise ValueError("W must be finite (found NaN or inf)")
     if not np.all((mask == 0.0) | (mask == 1.0)):
         raise ValueError("mask entries must be 0 or 1")
-    max_eigenvalue(H)
+    certify_psd(H)
     return _masked_cg(W, W_star @ H, H, mask, steps)
 
 
@@ -250,13 +251,22 @@ def _check_schedule(sched, cfg):
     _check_count("gd_steps", cfg.gd_steps)
 
 
-def proximal_prune_loop(W_star, H, sched, cfg, cell_prox):
+def proximal_prune_loop(W_star, H, sched, cfg, cell_prox, _settle=None):
     """Shared proximal-gradient pruning pipeline.
 
     cell_prox(cells, lam) maps an (n, 4) array of (signed) cells to its prox.
     Returns (W, mask, report) in the original coordinates. Raises the
     ValueErrors of check_problem and of a schedule that cannot work, and the
     ValueError of max_eigenvalue on an indefinite H, before any iteration.
+
+    _settle, which only simple_reg_prune's R2 branch passes, may end the
+    loop early. It is called once as _settle(sched, cfg, W_t, H_t, W_t H_t,
+    gamma) on the rescaled problem and returns check(k, V, lam), which sees
+    each gradient-step iterate V before its prox. A check that returns
+    (W, steps) certifies that the loop would end with the mask
+    keep_top2(|V|), and that W is _masked_cg's recovery from V on that mask,
+    taking steps iterations: the loop then clamps V there, as at a
+    sparsity-reached exit, and returns W without a second recovery.
     """
     W_star, H = check_problem(W_star, H)
     sched = sched or LambdaSchedule()
@@ -283,13 +293,20 @@ def proximal_prune_loop(W_star, H, sched, cfg, cell_prox):
     k = 0
     lam = 0.0
     terminated_by = "sparsity_reached"
-    while not is_24_sparse(W):
+    check = None if _settle is None else _settle(sched, cfg, W_t, H_t, WsH, gamma)
+    recovered = None
+    while recovered is None and not is_24_sparse(W):
         if k >= cfg.max_iter:
             terminated_by = "max_iter"
             break
         W = W - (2.0 * eta) * R
         lam = schedule_lambda(sched, k, W_t)
-        W = cell_prox(_cells(W), lam).reshape(W.shape)
+        if check is not None:
+            recovered = check(k, W, lam)
+        if recovered is None:
+            W = cell_prox(_cells(W), lam).reshape(W.shape)
+        else:
+            W = clamp_top2(W)
         k += 1
         R = W @ H_t - WsH
         trace.append((k, float(np.vdot(W - W_t, R))))
@@ -300,8 +317,8 @@ def proximal_prune_loop(W_star, H, sched, cfg, cell_prox):
 
     mask = mask_of(W)
     # H_t is certified above, so the recovery skips masked_gd's input checks
-    # and its second eigendecomposition
-    W, steps = _masked_cg(W, WsH, H_t, mask, cfg.gd_steps)
+    # and its Cholesky certificate
+    W, steps = _masked_cg(W, WsH, H_t, mask, cfg.gd_steps) if recovered is None else recovered
     trace.append((k + steps, layer_loss(W, W_t, H_t)))
 
     W = unprecondition(W, scales)

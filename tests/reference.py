@@ -6,6 +6,8 @@ least-squares normal equations; brute_force_mask_search enumerates every
 Jacobi-preconditioned CG on each row's masked normal equations, one row at
 a time, for the masked recovery to replay, and calibration_problem draws a
 layer whose H comes from correlated calibration-style activations.
+r2_prune_unsettled is the R2 pipeline without its settling check, which
+the settled run's mask must match.
 brute_force_prox_oracle is a grid-search reference for the sorted cell
 prox, prox_enumerate_ipm the same prox with the interior-point case
 solver, and kkt_check tests a cell for first-order optimality.
@@ -41,6 +43,7 @@ from prune24.cells import (
     solve_case_ipm,
 )
 from prune24.linalg import _check_shapes, hessian_from_data
+from prune24.pruner import clamp_top2, proximal_prune_loop
 from prune24.rng import SplitMix64
 
 
@@ -246,6 +249,19 @@ def calibration_problem(d, rows, samples, seed):
     s[:: d // 4] *= 30.0
     W_star = stream.normal(rows * d).reshape(rows, d)
     return W_star, hessian_from_data(s[:, None] * (A @ F + 0.3 * E))
+
+
+def r2_prune_unsettled(W_star, H, sched=None, cfg=None):
+    """simple_reg_prune(W*, H, "R2") with no settling check: the R2 prox
+    clamps each cell to its two largest entries once 1 + lam >= 1/sqrt(eps),
+    and otherwise the max_iter clamp ends the run."""
+    bound = 1.0 / np.sqrt(np.finfo(float).eps)
+
+    def cell_prox(cells_, lam):
+        out = cells.prox_simple_cells(cells_, lam, "R2")
+        return clamp_top2(out) if 1.0 + lam >= bound else out
+
+    return proximal_prune_loop(W_star, H, sched, cfg, cell_prox)
 
 
 def brute_force_mask_search(W_star: np.ndarray, H: np.ndarray):

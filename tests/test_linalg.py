@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from prune24.linalg import (
+    _PSD_RTOL,
+    certify_psd,
     hessian_from_data,
     layer_loss,
     max_eigenvalue,
@@ -10,7 +12,8 @@ from prune24.linalg import (
 )
 from prune24.pruner import mask_of
 
-from reference import is_psd, loss_gradient
+from bad_inputs import indefinite_problem
+from reference import calibration_problem, is_psd, loss_gradient
 
 
 def test_hessian_from_identity_samples():
@@ -140,6 +143,42 @@ def test_max_eigenvalue_accepts_a_rank_deficient_hessian():
 def test_max_eigenvalue_rejects_an_empty_matrix():
     with pytest.raises(ValueError, match="empty"):
         max_eigenvalue(np.zeros((0, 0)))
+
+
+def _with_smallest_eigenvalue(ratio, d=64, seed=10):
+    """Symmetric H with eigenvalues spread over [0.1, 1] and the smallest
+    replaced by ratio times the largest."""
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    eigs = np.linspace(0.1, 1.0, d)
+    eigs[0] = ratio
+    H = (Q * eigs) @ Q.T
+    return 0.5 * (H + H.T)
+
+
+def test_certify_psd_accepts_singular_and_zero_psd_matrices():
+    # d = 300 factors in three blocks of columns, the last one partial
+    dead = hessian_from_data(np.random.default_rng(11).normal(size=(300, 200)))
+    dead[3, :] = dead[:, 3] = 0.0  # a channel that never fires
+    for H in (np.eye(4), np.zeros((3, 3)), np.array([[1.0, -1.0], [-1.0, 1.0]]), dead,
+              hessian_from_data(np.random.default_rng(9).normal(size=(16, 6))),
+              calibration_problem(256, 4, 128, 7)[1],
+              *[_with_smallest_eigenvalue(ratio, d) for ratio in (0.0, -0.1 * _PSD_RTOL)
+                for d in (64, 300)]):
+        certify_psd(H)
+
+
+def test_certify_psd_rejects_what_max_eigenvalue_rejects():
+    for H in (np.array([[1.0, 2.0], [2.0, 1.0]]), -np.eye(3), np.array([[0.0, 1.0], [1.0, 0.0]]),
+              indefinite_problem()[1],
+              *[_with_smallest_eigenvalue(ratio, d) for ratio in (-2.0 * _PSD_RTOL, -1e-3)
+                for d in (64, 300)]):
+        with pytest.raises(ValueError, match="indefinite"):
+            max_eigenvalue(H)
+        with pytest.raises(ValueError, match="indefinite"):
+            certify_psd(H)
+    with pytest.raises(ValueError, match="empty"):
+        certify_psd(np.zeros((0, 0)))
 
 
 def test_is_psd():
