@@ -16,7 +16,7 @@ import numpy as np
 
 from . import pruner
 from .cells import prox_simple_cells
-from .linalg import _PSD_RTOL
+from .linalg import _PSD_RTOL, cholesky_lower
 from .pruner import (
     check_problem,
     clamp_top2,
@@ -51,27 +51,26 @@ _TRI_LEAF = 64
 
 
 def _invert_lower(L):
-    """Inverse of a nonsingular lower-triangular L, exactly lower triangular.
+    """Invert a nonsingular lower-triangular L in place; returns L, which
+    then holds inv(L), exactly lower triangular.
 
-    Splits L = [[A, 0], [B, C]] and fills inv(L) = [[inv(A), 0],
+    Splits L = [[A, 0], [B, C]] and forms inv(L) = [[inv(A), 0],
     [-inv(C) B inv(A), inv(C)]] recursively, so the work is about a third
-    of np.linalg.inv's LU solve against a dense identity. Diagonal blocks of
-    at most _TRI_LEAF rows go to np.linalg.inv, whose roundoff above their
-    diagonal is cut.
+    of np.linalg.inv's LU solve against a dense identity, and no temporary
+    is larger than a quarter of L. Diagonal blocks of at most _TRI_LEAF rows
+    go to np.linalg.inv, whose roundoff above their diagonal is cut.
     """
-    out = np.zeros_like(L)
-
-    def fill(lo, hi):
+    def invert(lo, hi):
         if hi - lo <= _TRI_LEAF:
-            out[lo:hi, lo:hi] = np.tril(np.linalg.inv(L[lo:hi, lo:hi]))
+            L[lo:hi, lo:hi] = np.tril(np.linalg.inv(L[lo:hi, lo:hi]))
             return
         mid = (lo + hi) // 2
-        fill(lo, mid)
-        fill(mid, hi)
-        out[mid:hi, lo:mid] = -out[mid:hi, mid:hi] @ (L[mid:hi, lo:mid] @ out[lo:mid, lo:mid])
+        invert(lo, mid)
+        invert(mid, hi)
+        L[mid:hi, lo:mid] = -L[mid:hi, mid:hi] @ (L[mid:hi, lo:mid] @ L[lo:mid, lo:mid])
 
-    fill(0, L.shape[0])
-    return out
+    invert(0, L.shape[0])
+    return L
 
 
 def sparsegpt_prune(W_star: np.ndarray, H: np.ndarray):
@@ -86,8 +85,9 @@ def sparsegpt_prune(W_star: np.ndarray, H: np.ndarray):
     cholesky(J Hd J) = L gives the upper triangular U = J inv(L) J with
     inv(Hd[b:, b:]) = U[b:, b:]^T U[b:, b:] for every b, so a block needs
     only the 4 rows U[b:b+4, b:]. Inverting Hd before factoring it would
-    fail on rank-deficient hessians that this order handles. inv(L) is
-    formed by triangular blocks (_invert_lower), not by a dense inverse.
+    fail on rank-deficient hessians that this order handles. L comes from
+    linalg.cholesky_lower and is inverted in place by _invert_lower, both
+    by blocks, so L is the only d x d array made.
 
     The damping is _DAMP_REL * mean(diag(H)). Raises ValueError when the
     damped hessian is not positive definite, and on the input errors of
@@ -96,15 +96,11 @@ def sparsegpt_prune(W_star: np.ndarray, H: np.ndarray):
     W_star, H = check_problem(W_star, H)
     W = W_star.copy()
     rows, d = W.shape
-    Hd = H[::-1, ::-1].copy()
-    Hd.flat[:: d + 1] += _DAMP_REL * float(np.mean(np.diag(H)))
     try:
-        L = np.linalg.cholesky(Hd)
+        L = cholesky_lower(H[::-1, ::-1], _DAMP_REL * float(np.mean(np.diag(H))))
     except np.linalg.LinAlgError as exc:
         raise ValueError("singular or indefinite damped hessian") from exc
-    del Hd
     U = _invert_lower(L)[::-1, ::-1]
-    del L
 
     r = np.arange(rows)[:, None]
     for b in range(0, d, 4):

@@ -56,8 +56,30 @@ def max_eigenvalue(H: np.ndarray) -> float:
     return float(eigs[-1])
 
 
-# block size of certify_psd's factorization
-_CERTIFY_BLOCK = 128
+# block size of cholesky_lower
+_CHOLESKY_BLOCK = 128
+
+
+def cholesky_lower(A: np.ndarray, shift: float = 0.0) -> np.ndarray:
+    """Lower Cholesky factor L of A + shift I for a symmetric A, reading
+    only A's lower triangle.
+
+    Left-looking by blocks of _CHOLESKY_BLOCK columns, written straight
+    into L: beside L it holds no temporary larger than one block column,
+    where np.linalg.cholesky on a shifted copy would hold two more d x d
+    arrays. Raises np.linalg.LinAlgError when A + shift I is not positive
+    definite to working precision.
+    """
+    d = A.shape[0]
+    L = np.zeros((d, d))
+    for b in range(0, d, _CHOLESKY_BLOCK):
+        e = min(b + _CHOLESKY_BLOCK, d)
+        S = A[b:, b:e].copy()
+        S[np.arange(e - b), np.arange(e - b)] += shift
+        S -= L[b:, :b] @ L[b:e, :b].T
+        L[b:e, b:e] = np.linalg.cholesky(S[: e - b])
+        L[e:, b:e] = np.linalg.solve(L[b:e, b:e], S[e - b:].T).T
+    return L
 
 
 def certify_psd(H: np.ndarray) -> None:
@@ -67,37 +89,24 @@ def certify_psd(H: np.ndarray) -> None:
 
     tau is at most _PSD_RTOL times the largest eigenvalue, so every H that
     max_eigenvalue rejects is rejected here too, and a singular PSD H passes.
-    With no positive diagonal entry, H is PSD only when it is zero. The
-    factorization runs by blocks of _CERTIFY_BLOCK columns in one copy of
-    H, so beside that copy it holds no temporary larger than a block row
-    (np.linalg.cholesky on all of H would hold two more copies). Raises
+    With no positive diagonal entry, H is PSD only when it is zero. Raises
     ValueError when H is empty, and when the factorization fails, so H is
     indefinite.
     """
     H = np.asarray(H, dtype=np.float64)
     if H.size == 0:
         raise ValueError("hessian is empty")
-    d = H.shape[0]
     tau = _PSD_RTOL * float(np.max(np.diagonal(H)))
     if not tau > 0.0:
         if np.any(H):
             raise ValueError("hessian is indefinite: it is not zero, and no "
                              "diagonal entry is positive")
         return
-    A = H.copy()
-    A.flat[:: d + 1] += tau
-    for b in range(0, d, _CERTIFY_BLOCK):
-        e = b + _CERTIFY_BLOCK
-        try:
-            L = np.linalg.cholesky(A[b:e, b:e])
-        except np.linalg.LinAlgError as exc:
-            raise ValueError(f"hessian is indefinite: H + {tau:.3g} I has no "
-                             "Cholesky factor") from exc
-        # the panel's factor rows, then the Schur complement of the block,
-        # one block row at a time
-        P = np.linalg.solve(L, A[e:, b:e].T).T
-        for r in range(e, d, _CERTIFY_BLOCK):
-            A[r:r + _CERTIFY_BLOCK, e:] -= P[r - e:r - e + _CERTIFY_BLOCK] @ P.T
+    try:
+        cholesky_lower(H, tau)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError(f"hessian is indefinite: H + {tau:.3g} I has no "
+                         "Cholesky factor") from exc
 
 
 # scale floor for dead input channels: keeps the transform invertible while
@@ -118,7 +127,8 @@ def precondition(W_star: np.ndarray, H: np.ndarray):
     diag = np.diag(H)
     scales = np.maximum(np.sqrt(np.maximum(diag, 0.0)), _SCALE_FLOOR)
     W_t = W_star * scales[None, :]
-    H_t = H / scales[None, :] / scales[:, None]
+    H_t = H / scales[None, :]
+    H_t /= scales[:, None]  # in place: no second d x d temporary
     return W_t, H_t, scales
 
 

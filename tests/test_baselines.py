@@ -161,9 +161,10 @@ def test_invert_lower_matches_a_dense_inverse(d, samples):
     H = hessian_from_data(np.random.default_rng([d, samples]).normal(size=(d, samples)))
     Hd = H[::-1, ::-1] + 1e-8 * float(np.mean(np.diag(H))) * np.eye(d)
     L = np.linalg.cholesky(Hd)
-    inv = _invert_lower(L)
-    assert np.all(np.triu(inv, 1) == 0.0)
     ref = np.linalg.inv(L)
+    inv = _invert_lower(L)
+    assert inv is L  # in place
+    assert np.all(np.triu(inv, 1) == 0.0)
     assert np.max(np.abs(inv - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
