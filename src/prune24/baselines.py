@@ -131,24 +131,21 @@ _R2_FIRST_CHECK = 100.0
 def _r2_settle(sched, cfg, W_t, H_t, WsH, gamma):
     """The R2 pipeline's settling check (proximal_prune_loop's _settle).
 
-    The loop's gradient step is V = W - R / gamma, 0 <= H_t <= gamma I, so
-    the map W -> V is nonexpansive up to the constant term. A check at
-    iteration k takes T = keep_top2(|V|), its recovery x (_masked_cg from
-    V * T, as the loop would run it after a clamp at k) and g = x H_t - W_t
-    H_t, and bounds per row how far the iterations k+1 ... J can move V from
-    x (on T) and from -g / gamma (off T), where J is the iteration whose
-    prox clamps or the last one max_iter allows. While T holds, with
-    rho = |g T| / gamma and G = |g (1 - T)| / gamma, S = E + Y bounds both
-    moves, E the kept part of W - x and Y the dropped part of W:
-    S_{j+1} = c S_j (1 + u_j) + rho + G u_j, u_j = 1 / (1 + lam_j), from
-    E = |V T - x| and Y = |V (1 - T)| / (1 + lam_k); c = 1 + 2 _PSD_RTOL
-    allows for the roundoff eigenvalues of H_t outside [0, gamma], and rho
-    and G carry d eps times the row's scale for the roundoff of each step.
-    S grows with j, so when every cell's smallest kept |x| beats its largest
-    dropped |g| / gamma by more than 2 c S_J + rho, every top-2 set up to
-    J's, the clamp's included, is T with no ties, and the check returns
-    (x, steps). A row with nothing to fit has no margin, so it never
-    settles.
+    The loop's gradient step V = W - R / gamma is nonexpansive in W, as
+    0 <= H_t <= gamma I. A check at iteration k takes T = keep_top2(|V|),
+    x = _masked_cg's recovery from V * T (the loop's own recovery after a
+    clamp at k) and g = (x H_t - W_t H_t) / gamma. While T stays the top-2
+    set, the kept part of each later V is within c S_j + rho of x and each
+    dropped |V_i| within c S_j of |g_i|, with the row norms rho = |g T| and
+    G = |g (1 - T)|, S_{k+1} = |V T - x| + |V (1 - T)| / (1 + lam_k) and
+    S_{j+1} = c S_j (1 + u_j) + rho + G u_j, u_j = 1 / (1 + lam_j).
+    c = 1 + 2 _PSD_RTOL allows for the roundoff eigenvalues of H_t outside
+    [0, gamma], and rho and G carry d eps times the row's scale for each
+    step's roundoff. S grows with j. So when in every cell the smallest kept
+    |x| beats the largest dropped |g| by more than 2 c S_J + rho, J the
+    iteration whose prox clamps or the last one max_iter allows, every
+    top-2 set up to J's is T, with no ties, and the check returns (x, steps).
+    A row with nothing to fit has no margin and never settles.
 
     Checks run at the first iteration with lam >= _R2_FIRST_CHECK, at the
     first of each further decade of lam and, once a decade check finds

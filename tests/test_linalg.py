@@ -4,6 +4,7 @@ import pytest
 from prune24.linalg import (
     _PSD_RTOL,
     certify_psd,
+    cholesky_lower,
     hessian_from_data,
     layer_loss,
     max_eigenvalue,
@@ -154,6 +155,20 @@ def _with_smallest_eigenvalue(ratio, d=64, seed=10):
     eigs[0] = ratio
     H = (Q * eigs) @ Q.T
     return 0.5 * (H + H.T)
+
+
+@pytest.mark.parametrize("d", [16, 300])
+def test_cholesky_lower_matches_numpy_and_reads_only_the_lower_triangle(d):
+    # d = 300 runs three blocks of columns, the last one partial
+    H = hessian_from_data(np.random.default_rng(d).normal(size=(d, 2 * d)))
+    shift = 1e-3
+    ref = np.linalg.cholesky(H + shift * np.eye(d))
+    upper_garbage = np.tril(H) + np.triu(np.full((d, d), np.nan), 1)
+    L = cholesky_lower(upper_garbage, shift)
+    assert np.all(np.triu(L, 1) == 0.0)
+    assert np.max(np.abs(L - ref)) <= 1e-13 * np.max(np.abs(ref))
+    with pytest.raises(np.linalg.LinAlgError):
+        cholesky_lower(-H, shift)
 
 
 def test_certify_psd_accepts_singular_and_zero_psd_matrices():
