@@ -147,11 +147,19 @@ def _r2_settle(sched, cfg, W_t, H_t, WsH, gamma):
     top-2 set up to J's is T, with no ties, and the check returns (x, steps).
     A row with nothing to fit has no margin and never settles.
 
+    A screen runs first. It scores x = V T, whose g costs one product, with
+    rho left out of the bound. The recovery moves x by e = |V T - x|, which
+    can raise a margin by at most (1 + c) e and lower G by at most c e,
+    while it raises 2 c S_J by at least 2 c (P - c U) e >= 2 c e, P the
+    product of all the c (1 + u_j) and U the sum of each u_j times the
+    factors after it, as P - 1 >= c U. So the check can pass only where the
+    screen does, and the recovery runs only there.
+
     Checks run at the first iteration with lam >= _R2_FIRST_CHECK, at the
-    first of each further decade of lam and, once a decade check finds
-    every margin positive, at the iteration where the shrinking part of its
-    bound should fall below the margin. Each costs one recovery and one
-    product.
+    first of each further decade of lam and, once a check (or its screen)
+    finds every margin positive, at the iteration where the shrinking part
+    of its bound should fall below the margin. A check costs one product,
+    and one recovery and one more product where the screen passes.
     """
     # J: the first iteration whose prox clamps, if max_iter allows it
     lo, last = 0, cfg.max_iter - 1
@@ -172,30 +180,41 @@ def _r2_settle(sched, cfg, W_t, H_t, WsH, gamma):
             return None
         keep = keep_top2(np.abs(V))
         mask = keep.astype(np.float64)
-        x, steps = pruner._masked_cg(V * mask, WsH, H_t, mask, cfg.gd_steps)
-        g = (x @ H_t - WsH) / gamma
-        allow = d * np.finfo(float).eps * (np.linalg.norm(V, axis=1) + scale)
-        rho = np.linalg.norm(g * mask, axis=1) + allow
-        G = np.linalg.norm(g - g * mask, axis=1) + allow
-        S = (np.linalg.norm(V * mask - x, axis=1)
-             + np.linalg.norm(V - V * mask, axis=1) / (1.0 + lam))
         with np.errstate(over="ignore"):
             u = 1.0 / (1.0 + lam * sched.beta ** np.arange(1.0, last - k))
         # tail[i]: the product of the factors c (1 + u) from term i on
         tail = np.append(np.cumprod((c * (1.0 + u))[::-1])[::-1], 1.0)
-        S = tail[0] * S + tail[1:].sum() * rho + (u * tail[1:]).sum() * G
-        need = 2.0 * c * S + rho
-        kept = np.min(np.where(keep, np.abs(x), np.inf).reshape(-1, 4), axis=1)
-        dropped = np.max(np.where(keep, 0.0, np.abs(g)).reshape(-1, 4), axis=1)
-        margin = np.min((kept - dropped).reshape(V.shape[0], -1), axis=1)
+        allow = d * np.finfo(float).eps * (np.linalg.norm(V, axis=1) + scale)
+        shrunk = np.linalg.norm(V - V * mask, axis=1) / (1.0 + lam)
+
+        def margin_of(x, g):
+            kept = np.min(np.where(keep, np.abs(x), np.inf).reshape(-1, 4), axis=1)
+            dropped = np.max(np.where(keep, 0.0, np.abs(g)).reshape(-1, 4), axis=1)
+            return np.min((kept - dropped).reshape(V.shape[0], -1), axis=1)
+
+        # the screen; allow covers the roundoff of its product
+        x = V * mask
+        g = (x @ H_t - WsH) / gamma
+        margin = margin_of(x, g) + allow
+        G = np.maximum(np.linalg.norm(g - g * mask, axis=1) - np.sqrt(d) * allow, 0.0)
+        need = 2.0 * c * (tail[0] * shrunk + (u * tail[1:]).sum() * G) * (1.0 - 1e-9)
         if np.all(margin > need):
-            return x, steps
+            x, steps = pruner._masked_cg(x, WsH, H_t, mask, cfg.gd_steps)
+            g = (x @ H_t - WsH) / gamma
+            rho = np.linalg.norm(g * mask, axis=1) + allow
+            G = np.linalg.norm(g - g * mask, axis=1) + allow
+            S = (tail[0] * (np.linalg.norm(V * mask - x, axis=1) + shrunk)
+                 + tail[1:].sum() * rho + (u * tail[1:]).sum() * G)
+            need = 2.0 * c * S + rho
+            margin = margin_of(x, g)
+            if np.all(margin > need):
+                return x, steps
         next_k = last
         if lam >= next_lam:
             next_lam = _R2_FIRST_CHECK * 10.0 ** (np.floor(np.log10(lam / _R2_FIRST_CHECK)) + 1)
-            if np.all(margin > 0.0):
-                wait = np.log(np.max(need / margin)) / np.log(sched.beta)
-                next_k = k + max(1, int(np.ceil(wait)))
+        if np.all(margin > 0.0):
+            wait = np.log(np.max(need / margin)) / np.log(sched.beta)
+            next_k = k + max(1, int(np.ceil(wait)))
         return None
 
     return check

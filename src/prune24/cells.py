@@ -6,30 +6,38 @@ is nonconvex, but after reducing to a sorted nonnegative input it splits into
 three candidate cases (2-sparse, 3-sparse, dense), each of which is solvable
 by convex optimization.
 
-The 3-sparse and dense cases are solved by projected gradient descent,
-started at the origin, with a per-cell step 1/min(4, 1 + 3 lam (z1 + z2)) that
-the case Hessian's spectrum on the iterates' box [0, z] allows, and an abort
+The 3-sparse case is a scalar root where it matters most. With w4 pinned at
+0 and t = w3, the first two stationarity equations are linear in w1 and w2,
+and the case is stationary iff G(t) = t - z3 + lam w1 w2 = 0, where G' is
+the Schur complement of the case Hessian. Below the 2-sparse threshold,
+lam z1 z2 < z3, G has one root on (0, z3], in the case's PSD region, and a
+bracketed Newton iteration finds it (``_pinned_roots``); that decides
+nearly every 3-sparse row the pipeline solves. The rest of the 3-sparse
+rows and the dense case are solved by projected gradient descent, started
+at the origin, with a per-cell step 1/min(4, 1 + 3 lam (z1 + z2)) that the
+case Hessian's spectrum on the iterates' box [0, z] allows, and an abort
 rule that discards a case as soon as the gradient norm strictly increases
-(that cannot happen inside the region where the case objective is convex, so
-an increase certifies the case is not the minimizer). This is the pruning
-pipeline's solver. The batch hands its last few live cells to a per-row
-loop in Python floats with the same arithmetic in the same order, so a
-call's slow tail does not pay numpy's per-call overhead on every step.
+(that cannot happen inside the region where the case objective is convex,
+so an increase certifies the case is not the minimizer). The batch hands
+its last few live cells to a per-row loop in Python floats with the same
+arithmetic in the same order, so a call's slow tail does not pay numpy's
+per-call overhead on every step.
 
 The case logic lives in two batched functions over n sorted cells:
-``_solve_case_rows`` (projected GD, Newton polish of stalled rows, the
-second-order check, the interior-point verdict where the polish fails, and
-the positivity test) and ``_pick_case`` (per row, the best of
-[z1, z2, 0, 0] and the valid 3-sparse and dense candidates, ties going to
-the sparser case). A row's case is per-row data: a boolean pin of its last
-coordinate at zero selects the 3-sparse case. ``_prox_sorted``, the only
-prox body, stacks the sorted cells twice, one copy pinned, drops the case
-rows that ``_screened`` proves invalid, and runs both functions in one pass
-over the rest. A case counts only through a stationary point whose free
-coordinates are positive, w_i = z_i - lam * e2(the other coordinates), and
-e2 of nonnegative coordinates is monotone in each, so bounds on w give
-bounds on e2 and back: a few rounds bracket every such point, and a row
-whose upper bound on a free coordinate reaches 0 has none. ``prox_cells``
+``_solve_case_rows`` (the 3-sparse root, then projected GD on the rows it
+leaves, Newton polish of stalled rows, the second-order check, the
+interior-point verdict where the polish fails, and the positivity test)
+and ``_pick_case`` (per row, the best of [z1, z2, 0, 0] and the valid
+3-sparse and dense candidates, ties going to the sparser case). A row's
+case is per-row data: a boolean pin of its last coordinate at zero selects
+the 3-sparse case. ``_prox_sorted``, the only prox body, stacks the sorted
+cells twice, one copy pinned, drops the case rows that ``_screened`` proves
+invalid, and runs both functions in one pass over the rest. A case counts
+only through a stationary point whose free coordinates are positive,
+w_i = z_i - lam * e2(the other coordinates), and e2 of nonnegative
+coordinates is monotone in each, so bounds on w give bounds on e2 and back:
+a few rounds bracket every such point, and a row whose upper bound on a
+free coordinate reaches 0 has none. ``prox_cells``
 (the pipeline's prox, on signed cells; one cell is a one-row call) reduces
 to ``_prox_sorted`` through ``pos_sort_cells`` and ``inv_pos_sort_cells``,
 and ``prox_enumerate`` calls it on one sorted cell. Every entry point raises
@@ -44,7 +52,7 @@ Hessian is then the leading 3 x 3 block of the dense case's. An
 interior-point solver with a log-det barrier on that Hessian
 (``solve_case_ipm``) decides the rare stalled case whose Newton polish
 fails; the tests also run it on whole cells as the cross-check of the
-gradient solver.
+root and the gradient solver.
 """
 
 import sys
@@ -229,9 +237,11 @@ def _gd_finish_row(w, z, lam, pinned, eta, step_tol, gcap, k):
 # A batch iteration costs about 47 us of numpy call overhead however few
 # cells are live, and one row step in _gd_finish_row about 1.5 us (2-core
 # x86-64 VM, numpy 2.4), so the batch hands its last few live cells to the
-# row loop. On the row128 benchmark, 16 ran about a third faster than 8 and
-# as fast as 24 or 32.
-_SCALAR_ROWS = 16
+# row loop. With the 3-sparse root taking most pinned rows, the kernel's
+# batches are mostly dense rows; replaying the prox calls of row128 and
+# layer256 seed 1111, 32 ran 5% and 11% faster than 16 (lower in 13 of 15
+# alternating pairs on each) and within noise of 24 and 64.
+_SCALAR_ROWS = 32
 
 
 def _gd_solve_batched(Z, lam, pinned):
@@ -364,18 +374,83 @@ def _second_order_ok(w, lam, pinned):
     return bool(eigs[0] >= -_SECOND_ORDER_TOL)
 
 
+_ROOT_TOL = 1e-13  # a root has settled once its step is this small (scaled units)
+_ROOT_MAX_ITER = 64  # enough bisections to settle any bracket of width <= 2
+
+
+def _pinned_roots(Z, lam, pinned):
+    """The 3-sparse case of the pinned rows of the (n, 4) sorted cells Z
+    (entries below 2, one lam per row) whose 2-sparse threshold test fails,
+    lam z1 z2 < z3, as one scalar root each. Returns (decided, W): a
+    boolean per row, and the case weights of the decided rows.
+
+    With w4 = 0 and t = w3 the first two stationarity equations are linear,
+    w1 + u w2 = z1 and u w1 + w2 = z2 with u = lam t, and the row is
+    stationary iff G(t) = t - z3 + lam w1 w2 = 0. Here lam z1 < 1, so
+    u < 1 and w1, w2 > 0 on [0, z3], where G(0) < 0 <= G(z3). G'(t) is the
+    Schur complement of the case Hessian on its PD leading block, so a root
+    with G' >= 0 is in the case's PSD region, where the case objective is
+    convex: it is the case's one stationary point there, and a root that
+    crosses upward, as the bracket's does, has G' >= 0. Each row takes
+    Newton steps from the regula-falsi point, or bisects where a step would
+    leave its bracket, until a step is within _ROOT_TOL; every row's
+    arithmetic is its own, so a row's bits do not depend on the batch. A
+    row that has not settled, or whose root has G' < 0 in roundoff, is left
+    undecided, for the kernel.
+    """
+    z1, z2, z3 = Z[:, 0], Z[:, 1], Z[:, 2]
+    with np.errstate(over="ignore"):  # an overflow only fails the test
+        decided = pinned & (lam * z1 < 1.0) & (lam * z1 * z2 < z3)
+    z1, z2, z3, lam = z1[decided], z2[decided], z3[decided], lam[decided]
+
+    def at(t):
+        # w1, w2, G and G' at t; at lam = 0, w1 = z1 and w2 = z2 exactly
+        u = lam * t
+        det = (1.0 - u) * (1.0 + u)
+        w1, w2 = (z1 - u * z2) / det, (z2 - u * z1) / det
+        l1, l2 = lam * w1, lam * w2
+        return w1, w2, t - z3 + l1 * w2, 1.0 - (l1 * l1 + l2 * l2 - 2.0 * u * l1 * l2) / det
+
+    lo, hi = np.zeros_like(z3), z3
+    g_lo, g_hi = lam * z1 * z2 - z3, at(z3)[2]
+    t = z3 * (-g_lo / (g_hi - g_lo))
+    settled = np.zeros(z3.shape, dtype=bool)
+    for _ in range(_ROOT_MAX_ITER):
+        _, _, g, dg = at(t)
+        below = g < 0.0
+        lo, hi = np.where(below, t, lo), np.where(below, hi, t)
+        step = np.divide(g, dg, out=np.full_like(g, np.inf), where=dg > 0.0)
+        t_new = np.where((t - step >= lo) & (t - step <= hi), t - step, 0.5 * (lo + hi))
+        t_new = np.where(settled, t, t_new)
+        settled |= np.abs(t_new - t) <= _ROOT_TOL
+        t = t_new
+        if settled.all():
+            break
+    w1, w2, _, dg = at(t)
+    ok = settled & (dg >= 0.0)
+    decided[decided] = ok
+    W = np.zeros((int(ok.sum()), 4))
+    W[:, 0], W[:, 1], W[:, 2] = w1[ok], w2[ok], t[ok]
+    return decided, W
+
+
 def _solve_case_rows(Z, lam, pinned):
     """Solve a prox case on every row of an (n, 4) array of sorted cells, at
     one lam per row: the 3-sparse case where the row's pin is set, the
     dense case elsewhere.
 
-    Projected GD, then a Newton polish and second-order check on stalled
-    rows; a stalled row whose polish fails takes the interior-point solver's
+    _pinned_roots decides the pinned rows it can. The rest take projected
+    GD, then a Newton polish and second-order check on stalled rows; a
+    stalled row whose polish fails takes the interior-point solver's
     verdict. A row is valid when its case's free coordinates end up strictly
     positive; an invalid row's weights are zeroed. Returns (W, valid,
-    aborted, iters).
+    aborted, iters), with 0 iterations on a row the root decided.
     """
-    W, outcome, iters = _gd_solve_batched(Z, lam, pinned)
+    decided, W_root = _pinned_roots(Z, lam, pinned)
+    rest, n = ~decided, Z.shape[0]
+    W, outcome, iters = np.zeros((n, 4)), np.zeros(n, dtype=np.int8), np.zeros(n, dtype=np.int64)
+    W[decided] = W_root
+    W[rest], outcome[rest], iters[rest] = _gd_solve_batched(Z[rest], lam[rest], pinned[rest])
     conv, aborted = outcome == 0, outcome == 1
     for idx in np.flatnonzero(outcome == 2):
         pin, lam_i = pinned[idx], lam[idx]
@@ -401,7 +476,12 @@ def _solve_case_rows(Z, lam, pinned):
 # of the 1.01M case rows, two 62.85%, three 62.87% and four 18 rows more. On
 # row128 the share keeps rising (41.2, 43.1, 43.8 and 44.3% on seeds 1111
 # and 1112), each dropped row shortens the kernel's per-row tail, and three
-# rounds ran fastest of 1, 2, 3, 4 and 6 (2-core x86-64 VM).
+# rounds ran fastest of 1, 2, 3, 4 and 6 (2-core x86-64 VM). With the
+# 3-sparse root, two rounds were no faster (lower in 5 and 8 of 15
+# alternating pairs on layer256 and row128). The root decides no row the
+# screen drops, yet the pinned half still pays: without it the replayed
+# prox calls ran 43% and 18% slower, as the kernel then takes the pinned
+# rows at or above the 2-sparse threshold.
 _SCREEN_ROUNDS = 3
 
 
@@ -419,21 +499,35 @@ def _screened(Z, lam, pinned):
     w >= L' = max(z - lam e2(U), 0) and then w <= U' = max(z - lam e2(L'), 0).
     Each round's bracket lies inside the last, as it starts from tighter
     bounds. After _SCREEN_ROUNDS rounds a row is screened if some free
-    U_i <= 0. At lam = 0 an overflowed e2 gives 0 * inf = NaN, a bound that
-    screens nothing. The bracket holds for exact stationary points, and
+    U_i <= 0. A nested bracket keeps such a U_i at 0, so once round 1 has
+    decided at least half the rows, the later rounds bound only the rest
+    (on layer256 that saved a fifth of the screen; on row128's smaller
+    calls, where fewer rows drop, a compaction cost more than it saved).
+    At lam = 0 an overflowed e2 gives 0 * inf = NaN, a bound that screens
+    nothing. The bracket holds for exact stationary points, and
     _solve_case_rows accepts points stationary to within its tolerance; the
     tests check that it calls every screened row invalid.
     """
+    def dead_of(U, pinned):
+        out = U <= 0.0
+        out[3] &= ~pinned
+        return out.any(axis=0)
+
     Zl = Z.T.copy()
     Zl[3, pinned] = 0.0
     U = Zl
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(_SCREEN_ROUNDS):
+        for r in range(_SCREEN_ROUNDS):
             L = np.maximum(Zl - lam * _e2_others(U), 0.0)
             U = np.maximum(Zl - lam * _e2_others(L), 0.0)
-    dead = U <= 0.0
-    dead[3] &= ~pinned
-    return dead.any(axis=0)
+            if r == 0:
+                dead, live = dead_of(U, pinned), slice(None)
+                if 2 * np.count_nonzero(dead) >= dead.size:  # take() keeps rows contiguous
+                    live = np.flatnonzero(~dead)
+                    Zl, U, pinned = Zl.take(live, axis=1), U.take(live, axis=1), pinned[live]
+                    lam = np.broadcast_to(lam, dead.shape)[live]
+    dead[live] = dead_of(U, pinned)
+    return dead
 
 
 def _check_sorted(z):

@@ -337,6 +337,74 @@ def test_r2_settle_keeps_the_mask_of_the_unsettled_run(monkeypatch, rows, d, alp
     assert report.loss_trace[-1][0] == report.iterations + taken[-1]
 
 
+def _r2_full_check(k, V, lam, last, sched, cfg, H_t, WsH, gamma):
+    """The settling check of _r2_settle without its screen: the recovery
+    from V T, the bound 2 c S_J + rho and the margins, as its docstring
+    states them. Returns whether every margin beats the bound."""
+    d, c = WsH.shape[1], 1.0 + 2.0 * baselines._PSD_RTOL
+    keep = keep_top2(np.abs(V))
+    mask = keep.astype(np.float64)
+    x, _ = pruner._masked_cg(V * mask, WsH, H_t, mask, cfg.gd_steps)
+    g = (x @ H_t - WsH) / gamma
+    allow = d * np.finfo(float).eps * (np.linalg.norm(V, axis=1)
+                                       + np.linalg.norm(WsH, axis=1) / gamma)
+    rho = np.linalg.norm(g * mask, axis=1) + allow
+    G = np.linalg.norm(g - g * mask, axis=1) + allow
+    u = 1.0 / (1.0 + lam * sched.beta ** np.arange(1.0, last - k))
+    tail = np.append(np.cumprod((c * (1.0 + u))[::-1])[::-1], 1.0)
+    S = (tail[0] * (np.linalg.norm(V * mask - x, axis=1)
+                    + np.linalg.norm(V - V * mask, axis=1) / (1.0 + lam))
+         + tail[1:].sum() * rho + (u * tail[1:]).sum() * G)
+    kept = np.min(np.where(keep, np.abs(x), np.inf).reshape(-1, 4), axis=1)
+    dropped = np.max(np.where(keep, 0.0, np.abs(g)).reshape(-1, 4), axis=1)
+    margin = np.min((kept - dropped).reshape(V.shape[0], -1), axis=1)
+    return bool(np.all(margin > 2.0 * c * S + rho))
+
+
+def test_r2_settle_screen_skips_only_checks_that_cannot_pass(monkeypatch):
+    # the screen in front of each check's recovery skips the decade checks
+    # at lam = 100 and 1000, which the full check fails, and on the settling
+    # check's iterate at a lam lowered step by step past the full check's
+    # threshold, each verdict is the full check's
+    W_star, H = _benchmark_style_layer(8, 1024, 0.5, 19)
+    make, args, seen, recoveries = baselines._r2_settle, [], {}, []
+    solve = pruner._masked_cg
+    monkeypatch.setattr(pruner, "_masked_cg",
+                        lambda *a: recoveries.append(1) or solve(*a))
+
+    def recording(*a):
+        args.append(a)
+        check = make(*a)
+
+        def checking(k, V, lam):
+            before = len(recoveries)
+            out = check(k, V, lam)
+            seen[k] = (V.copy(), lam, out is not None, len(recoveries) > before)
+            return out
+
+        return checking
+
+    monkeypatch.setattr(baselines, "_r2_settle", recording)
+    W, mask, report = simple_reg_prune(W_star, H, "R2")
+    [(sched, cfg, W_t, H_t, WsH, gamma)] = args
+    last = 2274  # the first iteration whose prox clamps
+    settle = report.iterations - 1
+    assert seen[settle][2] and seen[settle][3]
+    for decade in (100.0, 1000.0):
+        k = next(k for k in range(last) if schedule_lambda(sched, k) >= decade)
+        V, lam, settled, recovered = seen[k]
+        assert not settled and not recovered, k
+        assert not _r2_full_check(k, V, lam, last, sched, cfg, H_t, WsH, gamma), k
+    V, lam = seen[settle][:2]
+    verdicts = []
+    for f in (1.0, 1.005, 1.01, 1.02, 1.05, 1.2, 2.0):
+        full = _r2_full_check(settle, V, lam / f, last, sched, cfg, H_t, WsH, gamma)
+        fresh = make(sched, cfg, W_t, H_t, WsH, gamma)(settle, V, lam / f)
+        assert (fresh is not None) == full, f
+        verdicts.append(full)
+    assert verdicts[0] and not verdicts[-1]
+
+
 def _near_tie_layer(tie):
     """(W*, H) with a diagonal H, which rescales to the identity: the R2
     pipeline's gradient step then returns the rescaled W* itself, and the

@@ -193,6 +193,17 @@ def test_gd_rejects_unsorted_input():
         solve_case_gd(np.array([2.0, 1.0, 0.5, -0.1]), 1.0, "dense")
 
 
+def _no_roots(Z, lam, pinned):
+    return np.zeros(len(Z), dtype=bool), np.zeros((0, 4))
+
+
+@pytest.fixture
+def kernel_only(monkeypatch):
+    # _solve_case_rows with the 3-sparse root deciding no row, so that every
+    # case row, pinned or not, takes the kernel, its polish and the IPM
+    monkeypatch.setattr(cells, "_pinned_roots", _no_roots)
+
+
 def _fail_first_polish(monkeypatch, pinned):
     # the first Newton polish of one case fails; later ones (the IPM's own
     # among them) run as usual
@@ -237,7 +248,7 @@ def test_prox_cells_matches_oracle_and_ipm_on_polish_cells(z, lam):
 
 
 @pytest.mark.parametrize("z, lam", POLISH_CELLS)
-def test_failed_polish_takes_the_ipm_verdict(monkeypatch, z, lam):
+def test_failed_polish_takes_the_ipm_verdict(monkeypatch, kernel_only, z, lam):
     # a stalled row whose polish fails gets the IPM's verdict on its case,
     # on the scalar and the batched path alike
     z = np.array(z)
@@ -619,7 +630,7 @@ def test_cell_objective_is_nonnegative_and_signed_permutation_invariant():
         assert cell_objective(a, b, lam) == float(cells._objective_rows(a, b, lam))
 
 
-def test_one_kernel_pass_per_prox(monkeypatch):
+def test_one_kernel_pass_per_prox(monkeypatch, kernel_only):
     # both convex cases of every cell are solved in one projected-GD batch,
     # whose rows, penalties and pins are exactly the stacked normalized case
     # rows the screen keeps; a call whose rows are all screened still makes
@@ -710,6 +721,156 @@ def test_dense_stationary_point_outside_the_convex_region_loses_the_case_pick():
     assert np.array_equal(out, brute_force_prox_oracle(z, lam)[0])
 
 
+# ---------------------------------------------------------------------------
+# the 3-sparse case as a scalar root
+
+
+def _pinned_hessians(W, lam):
+    # the 3-sparse case Hessians of the rows of W, stacked
+    H = np.broadcast_to(np.eye(3), (len(W), 3, 3)).copy()
+    for i, j, k in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
+        H[:, i, j] = H[:, j, i] = lam * W[:, k]
+    return H
+
+
+def _root_and_kernel(Z, lam):
+    """The normalized pinned rows of the sorted cells Z at lam, which rows
+    _pinned_roots decides, and _solve_case_rows' (W, valid) with the root
+    and with the kernel alone."""
+    Z, lam, _ = normalized_rows(Z, lam)
+    pinned = np.ones(len(Z), dtype=bool)
+    decided, _ = cells._pinned_roots(Z, lam, pinned)
+    W, valid, _, _ = cells._solve_case_rows(Z, lam, pinned)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(cells, "_pinned_roots", _no_roots)
+        W_k, valid_k, _, _ = cells._solve_case_rows(Z, lam, pinned)
+    return Z, lam, decided, W, valid, W_k, valid_k
+
+
+def test_root_and_kernel_make_the_same_case_decisions():
+    # on the acceptance batch (1000 sorted cells at lam 0.01, 0.1, 1 and 10)
+    # and on 20,000 sorted cells at lam log-uniform on [0.01, 10], the root
+    # decides every pinned row below the 2-sparse threshold and gives it the
+    # kernel's verdict. The kernel stops on a step of 1e-10 of the scale,
+    # so its weights are off by up to that over the case Hessian's smallest
+    # eigenvalue; the root's agree with them to 1e-9 of the scale over it
+    rng = np.random.default_rng(2024)
+    batches = [(np.array([sorted_abs(rng) for _ in range(1000)]),
+                np.resize([0.01, 0.1, 1.0, 10.0], 1000))]
+    rng = np.random.default_rng(33)
+    batches.append((np.sort(np.abs(rng.normal(size=(20000, 4))), axis=1)[:, ::-1],
+                    10.0 ** rng.uniform(-2.0, 1.0, size=20000)))
+    for Z, lam in batches:
+        Z, lam, decided, W, valid, W_k, valid_k = _root_and_kernel(Z, lam)
+        assert np.array_equal(decided, lam * Z[:, 0] * Z[:, 1] < Z[:, 2])
+        assert np.array_equal(valid, valid_k)
+        both = decided & valid
+        assert both.sum() > 0.4 * len(Z)  # 10,669 of the 20,000
+        eig = np.linalg.eigvalsh(_pinned_hessians(W[both], lam[both]))[:, 0]
+        err = np.abs(W[both] - W_k[both]).max(axis=1)
+        assert np.all(err <= 1e-9 * np.maximum(1.0, Z[both, 0]) / eig)
+
+
+def test_root_path_agrees_with_the_ipm():
+    # below the 2-sparse threshold the 3-sparse case is the root's; its
+    # verdict and weights, and the whole prox, match the interior point's
+    rng = np.random.default_rng(34)
+    rooted = 0
+    for _ in range(60):
+        z = sorted_abs(rng, np.exp(rng.uniform(-1.0, 1.0)))
+        lam = lambda_thresholds(z) * rng.uniform(0.05, 1.0)
+        Zn, lam_n, _ = normalized_rows(z[None, :], lam)
+        rooted += int(cells._pinned_roots(Zn, lam_n, np.array([True]))[0][0])
+        w, aborted, iters = solve_case_gd(z, lam, "three_sparse")
+        w_ipm = solve_case_ipm(z, lam, "three_sparse")
+        assert (w is None) == (w_ipm is None) and not aborted and iters == 0, (z, lam)
+        if w is not None:
+            assert np.abs(w - w_ipm).max() <= 1e-9 * max(1.0, z[0]), (z, lam)
+        res, res_ipm = prox_enumerate(z, lam), prox_enumerate_ipm(z, lam)
+        assert res.case_tag == res_ipm.case_tag, (z, lam)
+        assert np.abs(res.w - res_ipm.w).max() <= 1e-9 * max(1.0, z[0]), (z, lam)
+    assert rooted == 60
+
+
+def test_accepted_roots_are_stationary_in_the_psd_region():
+    rng = np.random.default_rng(35)
+    n = 5000
+    Z = np.sort(np.abs(rng.normal(size=(n, 4))), axis=1)[:, ::-1] * np.exp(
+        rng.uniform(-3.0, 3.0, size=(n, 1)))
+    Z, lam, _ = normalized_rows(Z, 10.0 ** rng.uniform(-2.0, 1.0, size=n))
+    decided, W = cells._pinned_roots(Z, lam, np.ones(n, dtype=bool))
+    assert decided.sum() > n // 4 and not W[:, 3].any()
+    Z, lam = Z[decided], lam[decided]
+    G = cells._grad_rows(W, Z, lam[:, None])[:, :3]
+    assert np.abs(G).max(axis=1).max() <= 1e-12
+    assert np.all(W[:, :3] > 0.0)
+    assert np.linalg.eigvalsh(_pinned_hessians(W, lam))[:, 0].min() >= -1e-9
+
+
+@pytest.mark.parametrize("z, lam, decided", [
+    pytest.param([1.0, 1.0, 1.0, 0.5], 0.1, True, id="three-way-tie"),
+    pytest.param([1.0, 1.0, 0.999, 0.3], 0.998, True, id="tie-near-u-1"),
+    pytest.param([1.0, 1.0, 0.5, 0.5], 0.5, False, id="tie-at-threshold"),
+    pytest.param([1.6, 1.1, 0.0, 0.0], 0.3, False, id="z3-zero"),
+    pytest.param([1.6, 1.1, 0.8, 0.5], 0.0, True, id="lam-zero"),
+    pytest.param([1.6, 1.1, 0.8, 0.5], sys.float_info.max, False, id="lam-max"),
+    pytest.param([1.6, 1e-300, 1e-300, 0.0], sys.float_info.max, False, id="lam-max-tiny"),
+])
+def test_root_edge_cases_raise_no_warning(z, lam, decided):
+    # ties, z3 = 0, lam = 0 and the largest float lam: the root decides
+    # exactly the rows below the 2-sparse threshold, with no 0 / 0 at a
+    # tie, no overflow and no warning, and the prox is the oracle's
+    z = np.array(z)
+    Zn, lam_n, s = normalized_rows(z[None, :], lam)
+    with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise", divide="raise"):
+        warnings.simplefilter("error")
+        got, W = cells._pinned_roots(Zn, lam_n, np.array([True]))
+        w, _, iters = solve_case_gd(z, lam, "three_sparse")
+        out = prox_cells(z[None, :], lam)[0]
+    assert got[0] == decided and (iters == 0) == decided
+    if lam == 0.0:
+        assert np.array_equal(w, [1.6, 1.1, 0.8, 0.0])
+    if decided and z[0] == z[1]:
+        # a tie gives w1 = w2 = z1 / (1 + lam w3), and w3 = z3 - lam w1**2
+        w1, w2, w3, _ = W[0] * s[0]
+        assert w1 == w2
+        assert abs(w1 * (1.0 + lam * w3) - z[0]) <= 1e-12
+        assert abs(w3 + lam * w1 * w1 - z[2]) <= 1e-12
+    if lam < 1e300:
+        _, fo = brute_force_prox_oracle(z, lam)
+        assert cell_objective(out, z, lam) <= fo + 1e-9
+    else:
+        assert np.array_equal(out, clamp_top2(z[None, :])[0])
+
+
+def test_the_kernel_gets_only_the_rows_the_root_leaves(monkeypatch):
+    # one kernel pass per prox, on the rows the screen keeps less the ones
+    # the root decides; no pinned row below the 2-sparse threshold is left
+    kernel, batches = cells._gd_solve_batched, []
+
+    def recording(Z, lam, pinned):
+        batches.append((Z.copy(), np.array(lam), np.array(pinned)))
+        return kernel(Z, lam, pinned)
+
+    monkeypatch.setattr(cells, "_gd_solve_batched", recording)
+    cells_mat = np.random.default_rng(36).normal(size=(400, 4))
+    for lam in (0.01, 0.3, 3.0):
+        batches.clear()
+        prox_cells(cells_mat, lam)
+        Z, _, _ = pos_sort_cells(cells_mat)
+        Z, lam_rows, _ = normalized_rows(Z, lam)
+        Z, pinned = np.vstack([Z, Z]), np.arange(2 * len(Z)) < len(Z)
+        lam_rows = np.concatenate([lam_rows, lam_rows])
+        keep = ~cells._screened(Z, lam_rows, pinned)
+        keep &= ~cells._pinned_roots(Z, lam_rows, pinned)[0]
+        [(Z_kernel, lam_kernel, pinned_kernel)] = batches
+        assert Z_kernel.tobytes() == Z[keep].tobytes()
+        assert lam_kernel.tobytes() == lam_rows[keep].tobytes()
+        assert np.array_equal(pinned_kernel, pinned[keep])
+        P, lam_p = Z_kernel[pinned_kernel], lam_kernel[pinned_kernel]
+        assert np.all(lam_p * P[:, 0] * P[:, 1] >= P[:, 2])
+
+
 def _kernel_and_prox(monkeypatch, scalar_rows, Z, pinned, cells_mat, lam):
     monkeypatch.setattr(cells, "_SCALAR_ROWS", scalar_rows)
     out = cells._gd_solve_batched(Z, np.full(len(Z), lam), pinned)
@@ -717,7 +878,7 @@ def _kernel_and_prox(monkeypatch, scalar_rows, Z, pinned, cells_mat, lam):
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.01, 0.1, 0.3, 1.0, 3.0, sys.float_info.max])
-def test_batch_and_row_loops_agree_bit_for_bit(monkeypatch, lam):
+def test_batch_and_row_loops_agree_bit_for_bit(monkeypatch, kernel_only, lam):
     # every row run wholly in the batch (0) or wholly in the row loop (a
     # huge limit) ends with the same weights, flags and iteration counts,
     # signed zeros included, also where the iteration cap stalls rows
@@ -738,7 +899,7 @@ def test_batch_and_row_loops_agree_bit_for_bit(monkeypatch, lam):
 
 
 @pytest.mark.parametrize("lam", [0.1, 0.3, 1.0])
-def test_stalled_rows_in_a_mixed_batch_use_their_own_case(monkeypatch, lam):
+def test_stalled_rows_in_a_mixed_batch_use_their_own_case(monkeypatch, kernel_only, lam):
     # capped at 3 GD iterations, most rows stall in both cases; each stalled
     # row's polish, second-order check and IPM verdict must read its own pin,
     # so every row matches the one-case solves picked cell by cell
