@@ -6,38 +6,29 @@ is nonconvex, but after reducing to a sorted nonnegative input it splits into
 three candidate cases (2-sparse, 3-sparse, dense), each of which is solvable
 by convex optimization.
 
-The 3-sparse case is a scalar root where it matters most. With w4 pinned at
-0 and t = w3, the first two stationarity equations are linear in w1 and w2,
-and the case is stationary iff G(t) = t - z3 + lam w1 w2 = 0, where G' is
-the Schur complement of the case Hessian. Below the 2-sparse threshold,
-lam z1 z2 < z3, G has one root on (0, z3], in the case's PSD region, and a
-bracketed Newton iteration finds it (``_pinned_roots``); that decides
-nearly every 3-sparse row the pipeline solves. The rest of the 3-sparse
-rows and the dense case are solved by projected gradient descent, started
-at the origin, with a per-cell step 1/min(4, 1 + 3 lam (z1 + z2)) that the
-case Hessian's spectrum on the iterates' box [0, z] allows, and an abort
-rule that discards a case as soon as the gradient norm strictly increases
-(that cannot happen inside the region where the case objective is convex,
-so an increase certifies the case is not the minimizer). The batch hands
-its last few live cells to a per-row loop in Python floats with the same
-arithmetic in the same order, so a call's slow tail does not pay numpy's
-per-call overhead on every step.
+Both convex cases are scalar roots where it matters most, solved by one
+bracketed Newton loop: the 3-sparse case below the 2-sparse threshold,
+lam z1 z2 < z3, as a root in w3 (``_pinned_roots``), and the dense case as
+a root in w4 (``_dense_roots``, on calls of more than _SCALAR_ROWS dense
+rows), each accepted only in its case's PSD region, where the case
+objective is convex. Every row no root decides takes projected gradient
+descent from the origin, one row at a time in Python floats (``_gd_row``),
+with a per-cell step 1/min(4, 1 + 3 lam (z1 + z2)) that the case Hessian's
+spectrum on the iterates' box [0, z] allows, and an abort rule that
+discards a case once the gradient norm strictly increases (that cannot
+happen where the case objective is convex). A point GD converges to counts
+only in the case's PSD region (``_psd_rows``).
 
 The case logic lives in two batched functions over n sorted cells:
-``_solve_case_rows`` (the 3-sparse root, then projected GD on the rows it
-leaves, Newton polish of stalled rows, the second-order check, the
-interior-point verdict where the polish fails, and the positivity test)
+``_solve_case_rows`` (the two roots, then projected GD on the rows they
+leave, Newton polish of stalled rows, the interior-point verdict where the
+polish fails, and the positivity and second-order tests)
 and ``_pick_case`` (per row, the best of [z1, z2, 0, 0] and the valid
 3-sparse and dense candidates, ties going to the sparser case). A row's
 case is per-row data: a boolean pin of its last coordinate at zero selects
 the 3-sparse case. ``_prox_sorted``, the only prox body, stacks the sorted
 cells twice, one copy pinned, drops the case rows that ``_screened`` proves
-invalid, and runs both functions in one pass over the rest. A case counts
-only through a stationary point whose free coordinates are positive,
-w_i = z_i - lam * e2(the other coordinates), and e2 of nonnegative
-coordinates is monotone in each, so bounds on w give bounds on e2 and back:
-a few rounds bracket every such point, and a row whose upper bound on a
-free coordinate reaches 0 has none. ``prox_cells``
+invalid, and runs both functions in one pass over the rest. ``prox_cells``
 (the pipeline's prox, on signed cells; one cell is a one-row call) reduces
 to ``_prox_sorted`` through ``pos_sort_cells`` and ``inv_pos_sort_cells``,
 and ``prox_enumerate`` calls it on one sorted cell. Every entry point raises
@@ -52,7 +43,7 @@ Hessian is then the leading 3 x 3 block of the dense case's. An
 interior-point solver with a log-det barrier on that Hessian
 (``solve_case_ipm``) decides the rare stalled case whose Newton polish
 fails; the tests also run it on whole cells as the cross-check of the
-root and the gradient solver.
+roots and the gradient solver.
 """
 
 import sys
@@ -185,31 +176,25 @@ def _case_hessian(w, lam, pinned):
 
 
 # ---------------------------------------------------------------------------
-# projected gradient solver (batched over cells)
+# projected gradient solver (one row at a time, in Python floats)
 
 
-def _e2_others(W):
-    """Per column of the (4, m) array W, the elementary symmetric sum of
-    degree 2 of the other three coordinates of each coordinate: for w1 that
-    is w2 (w3 + w4) + w3 w4, and likewise within the pairs (1, 2) and
-    (3, 4). Returns a new (4, m) array."""
-    P = W.reshape(2, 2, -1)
-    sums = P[:, 0] + P[:, 1]
-    prods = P[:, 0] * P[:, 1]
-    return (P[:, ::-1] * sums[::-1, None] + prods[::-1, None]).reshape(4, -1)
-
-
-def _gd_finish_row(w, z, lam, pinned, eta, step_tol, gcap, k):
-    """The batched loop's step on one cell in Python floats, from the state
-    it has after k iterations (iterate w, input z, pin, eta, step tolerance
-    and abort cap). Every IEEE operation is the batch's, in the same order:
-    the squared norm sums as einsum does over two or more columns, and
-    ``x if x > 0.0 else 0.0`` is np.maximum(x, 0.0) for every x but NaN
-    (``max(x, 0.0)`` would keep a -0.0). Returns (w, outcome, iters), the
-    outcome 0 if the row converged, 1 if it aborted and 2 if it stalled.
-    """
-    w1, w2, w3, w4 = w
+def _gd_row(z, lam, pinned):
+    """Projected GD from the origin on one sorted cell z (4 floats) at the
+    float lam, in the 3-sparse case if pinned (w4 held at 0), else the dense
+    case. The step eta = 1/min(4, 1 + 3 lam (z1 + z2)) keeps the iterates in
+    the box [0, z], where that number bounds the spectrum of either case
+    Hessian (4 bounds it on the convex region). The row aborts once its
+    gradient norm strictly increases (an overflow is inf), and converges
+    once its projected step over eta is within
+    DEFAULT_TOL max(1, z1). ``x if x > 0.0 else 0.0`` projects -0.0 to 0.0.
+    Returns (w, outcome, iters), the outcome 0 if the row converged, 1 if
+    it aborted and 2 if it stalled at DEFAULT_MAX_ITER."""
     z1, z2, z3, z4 = z
+    eta = 1.0 / (1.0 + 3.0 * min(lam * (z1 + z2), 1.0))
+    step_tol = DEFAULT_TOL * max(1.0, z1) * eta
+    w1 = w2 = w3 = w4 = 0.0
+    gcap, k = float("inf"), 0  # a squared gradient norm above gcap aborts
     while k < DEFAULT_MAX_ITER:
         k += 1
         s12, p12, s34, p34 = w1 + w2, w1 * w2, w3 + w4, w3 * w4
@@ -234,102 +219,14 @@ def _gd_finish_row(w, z, lam, pinned, eta, step_tol, gcap, k):
     return (w1, w2, w3, w4), 2, k
 
 
-# A batch iteration costs about 47 us of numpy call overhead however few
-# cells are live, and one row step in _gd_finish_row about 1.5 us (2-core
-# x86-64 VM, numpy 2.4), so the batch hands its last few live cells to the
-# row loop. With the 3-sparse root taking most pinned rows, the kernel's
-# batches are mostly dense rows; replaying the prox calls of row128 and
-# layer256 seed 1111, 32 ran 5% and 11% faster than 16 (lower in 13 of 15
-# alternating pairs on each) and within noise of 24 and 64.
-_SCALAR_ROWS = 32
-
-
-def _gd_solve_batched(Z, lam, pinned):
-    """Projected GD from the origin on the (n, 4) sorted cells Z, at one lam
-    per row.
-
-    A row whose pin (a boolean per row) is set solves the 3-sparse case by
-    fixing its last coordinate at zero (the free coordinates then see
-    exactly the 3-variable objective); the other rows solve the dense case.
-    Each cell steps at eta = 1/min(4, 1 + 3 lam (z1 + z2)): for w >= 0 and
-    eta <= 1, g_i >= w_i - z_i, so the iterates stay in the box [0, z], and
-    there Gershgorin bounds the spectrum of either case Hessian by
-    1 + 3 lam (z1 + z2); 4 bounds it on the convex region. A cell aborts as
-    soon as its gradient norm strictly increases between consecutive
-    iterates, and converges once its projected step divided by its eta is
-    within the tolerance. Once at most _SCALAR_ROWS cells are live, each
-    finishes in _gd_finish_row, bit for bit as the batch would finish it.
-    Returns (W, outcome, iters), each row's outcome coded as _gd_finish_row's.
-    """
-    Z = np.asarray(Z, dtype=np.float64)
+def _gd_rows(Z, lam, pinned):
+    """_gd_row on every row of the (n, 4) sorted cells Z, with one lam and
+    one pin per row. Returns (W, outcome, iters) as arrays."""
     n = Z.shape[0]
-    W_out = np.zeros((n, 4))
-    outcome = np.zeros(n, dtype=np.int8)
-    iters = np.zeros(n, dtype=np.int64)
-
-    # The live cells are the columns of (4, m) arrays, so every per-cell sum
-    # over the 4 coordinates is elementwise arithmetic on rows. A finished
-    # cell is written out by index and frozen at the origin (eta 0, a
-    # negative step tolerance); the arrays shrink to the live cells at half.
-    idx = np.arange(n)
-    pin = np.asarray(pinned, dtype=bool)
-    Zl = Z.T.copy()
-    W = np.zeros_like(Zl)
-    gcap = np.full(n, np.inf)  # a squared gradient norm above this aborts
-    live = n
-
-    def finish(done, code, steps):
-        out = idx[done]
-        W_out[out] = W[:, done].T
-        outcome[out] = code
-        iters[out] = steps
-        W[:, done] = 0.0  # a frozen cell's gradient is then -z, never inf
-        eta[done] = 0.0
-        step_tol[done] = -1.0
-        gcap[done] = np.inf  # a frozen cell must not abort on its next gradient
-        return out.size
-
-    k = 0
-    # Near the largest float lam the penalty terms overflow to inf: an
-    # infinite gradient norm aborts its cell, and the cell then sits at the
-    # origin, so no inf meets a zero eta.
-    with np.errstate(over="ignore"):
-        eta = 1.0 / (1.0 + 3.0 * np.minimum(lam * (Zl[0] + Zl[1]), 1.0))
-        step_tol = DEFAULT_TOL * np.maximum(1.0, Zl[0]) * eta
-        while live > _SCALAR_ROWS and k < DEFAULT_MAX_ITER:
-            k += 1
-            # g_i = w_i - z_i + lam * e2(the other three coordinates)
-            G = _e2_others(W)
-            G *= lam
-            G += W
-            G -= Zl
-            G[3, pin] = 0.0
-            gn2 = np.einsum("ij,ij->j", G, G)
-
-            abort = gn2 > gcap
-            gcap = gn2 * _ABORT_GUARD2
-            if abort.any():  # these cells keep the iterate whose gradient grew
-                live -= finish(abort, 1, k - 1)
-                G[:, abort] = 0.0  # now at the origin: no 0 * inf step below
-
-            Wn = W - eta * G
-            np.maximum(Wn, 0.0, out=Wn)
-            conv = np.abs(Wn - W).max(axis=0) <= step_tol
-            W = Wn
-            if conv.any():
-                live -= finish(conv, 0, k)
-
-            if 0 < 2 * live <= W.shape[1]:
-                keep = step_tol >= 0.0
-                idx, pin, lam, W, Zl = idx[keep], pin[keep], lam[keep], W[:, keep], Zl[:, keep]
-                eta, step_tol, gcap = eta[keep], step_tol[keep], gcap[keep]
-
-    for j in np.flatnonzero(step_tol >= 0.0):
-        out = idx[j]
-        W_out[out], outcome[out], iters[out] = _gd_finish_row(
-            W[:, j].tolist(), Zl[:, j].tolist(), float(lam[j]), pin[j], float(eta[j]),
-            float(step_tol[j]), float(gcap[j]), k)
-    return W_out, outcome, iters
+    W, outcome, iters = np.zeros((n, 4)), np.zeros(n, dtype=np.int8), np.zeros(n, dtype=np.int64)
+    for i, row in enumerate(zip(Z.tolist(), lam.tolist(), pinned.tolist())):
+        W[i], outcome[i], iters[i] = _gd_row(*row)
+    return W, outcome, iters
 
 
 def _newton_polish(w, z, lam, pinned, tol_eff):
@@ -367,15 +264,66 @@ def _newton_polish(w, z, lam, pinned, tol_eff):
     return w, res <= tol_eff
 
 
-def _second_order_ok(w, lam, pinned):
-    """Newton-polished points must sit in the PSD region of the case Hessian;
-    otherwise the polish found a saddle rather than a case minimum."""
-    eigs = np.linalg.eigvalsh(_case_hessian(w, lam, pinned))
-    return bool(eigs[0] >= -_SECOND_ORDER_TOL)
+def _psd_rows(W, lam, pinned):
+    """Per row of the nonnegative points W (one lam and one pin per row),
+    whether the case Hessian has no eigenvalue below -_SECOND_ORDER_TOL,
+    so that a stationary point is the case's minimizer on its convex region.
+    Gershgorin certifies a row whose largest off-diagonal row sum is at most
+    1: 2 lam (s - min w) in the dense case, at most lam s in the 3-sparse
+    case (s = sum w). Each other row must meet only positive pivots in an
+    elementwise LDL^T of its Hessian plus _SECOND_ORDER_TOL I (a pinned
+    row's last row and column the identity's). A NaN fails."""
+    ok = (2.0 - pinned) * lam * (W.sum(axis=1) - W.min(axis=1)) <= 1.0
+    rest = np.flatnonzero(~ok)
+    if rest.size:
+        W, lam, pin = W[rest], lam[rest], pinned[rest]
+        H = lam[:, None, None] * (W.sum(axis=1)[:, None, None] - W[:, :, None] - W[:, None, :])
+        H[:, range(4), range(4)] = 1.0 + _SECOND_ORDER_TOL
+        H[pin, 3, :3] = H[pin, :3, 3] = 0.0
+        pos = np.ones(rest.size, dtype=bool)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for j in range(4):
+                pos &= H[:, j, j] > 0.0
+                H[:, j + 1:, j + 1:] -= (H[:, j + 1:, j, None] * H[:, None, j, j + 1:]
+                                         / H[:, j, j, None, None])
+        ok[rest] = pos
+    return ok
+
+
+# ---------------------------------------------------------------------------
+# the 3-sparse and dense cases as scalar roots
 
 
 _ROOT_TOL = 1e-13  # a root has settled once its step is this small (scaled units)
 _ROOT_MAX_ITER = 64  # enough bisections to settle any bracket of width <= 2
+
+# The dense root makes about 40 numpy calls per Newton step, of microseconds
+# each however few rows they hold, and one _gd_row step costs about 1.5 us,
+# so only calls with more than this many unpinned rows take the dense root.
+_SCALAR_ROWS = 32
+
+
+def _bracketed_root(at, hi, g_lo, g_hi):
+    """Per row, the root of G on [0, hi], where g_lo = G(0) < 0 <= g_hi =
+    G(hi) and at(t) returns G(t) and G'(t) first: Newton steps from the
+    regula-falsi point, bisecting where a step would leave the bracket,
+    until a step is within _ROOT_TOL. A row's bits do not depend on the
+    batch. Returns (t, settled), a boolean per row."""
+    lo = np.zeros_like(hi)
+    t = hi * (-g_lo / (g_hi - g_lo))
+    settled = np.zeros(t.shape, dtype=bool)
+    for _ in range(_ROOT_MAX_ITER):
+        g, dg = at(t)[:2]
+        below = g < 0.0
+        lo, hi = np.where(below, t, lo), np.where(below, hi, t)
+        step = np.divide(g, dg, out=np.full_like(g, np.inf), where=dg > 0.0)
+        t_new = np.where((t - step >= lo) & (t - step <= hi), t - step, 0.5 * (lo + hi))
+        t_new = np.where(settled, t, t_new)
+        settled |= np.abs(t_new - t) <= _ROOT_TOL
+        t = t_new
+        if settled.all():
+            break
+    return t, settled
 
 
 def _pinned_roots(Z, lam, pinned):
@@ -391,12 +339,8 @@ def _pinned_roots(Z, lam, pinned):
     Schur complement of the case Hessian on its PD leading block, so a root
     with G' >= 0 is in the case's PSD region, where the case objective is
     convex: it is the case's one stationary point there, and a root that
-    crosses upward, as the bracket's does, has G' >= 0. Each row takes
-    Newton steps from the regula-falsi point, or bisects where a step would
-    leave its bracket, until a step is within _ROOT_TOL; every row's
-    arithmetic is its own, so a row's bits do not depend on the batch. A
-    row that has not settled, or whose root has G' < 0 in roundoff, is left
-    undecided, for the kernel.
+    crosses upward, as the bracket's does, has G' >= 0. A row whose root
+    has not settled, or has G' < 0 in roundoff, is left undecided.
     """
     z1, z2, z3 = Z[:, 0], Z[:, 1], Z[:, 2]
     with np.errstate(over="ignore"):  # an overflow only fails the test
@@ -404,60 +348,99 @@ def _pinned_roots(Z, lam, pinned):
     z1, z2, z3, lam = z1[decided], z2[decided], z3[decided], lam[decided]
 
     def at(t):
-        # w1, w2, G and G' at t; at lam = 0, w1 = z1 and w2 = z2 exactly
+        # G, G', w1 and w2 at t; at lam = 0, w1 = z1 and w2 = z2 exactly
         u = lam * t
         det = (1.0 - u) * (1.0 + u)
         w1, w2 = (z1 - u * z2) / det, (z2 - u * z1) / det
         l1, l2 = lam * w1, lam * w2
-        return w1, w2, t - z3 + l1 * w2, 1.0 - (l1 * l1 + l2 * l2 - 2.0 * u * l1 * l2) / det
+        return t - z3 + l1 * w2, 1.0 - (l1 * l1 + l2 * l2 - 2.0 * u * l1 * l2) / det, w1, w2
 
-    lo, hi = np.zeros_like(z3), z3
-    g_lo, g_hi = lam * z1 * z2 - z3, at(z3)[2]
-    t = z3 * (-g_lo / (g_hi - g_lo))
-    settled = np.zeros(z3.shape, dtype=bool)
-    for _ in range(_ROOT_MAX_ITER):
-        _, _, g, dg = at(t)
-        below = g < 0.0
-        lo, hi = np.where(below, t, lo), np.where(below, hi, t)
-        step = np.divide(g, dg, out=np.full_like(g, np.inf), where=dg > 0.0)
-        t_new = np.where((t - step >= lo) & (t - step <= hi), t - step, 0.5 * (lo + hi))
-        t_new = np.where(settled, t, t_new)
-        settled |= np.abs(t_new - t) <= _ROOT_TOL
-        t = t_new
-        if settled.all():
-            break
-    w1, w2, _, dg = at(t)
+    t, settled = _bracketed_root(at, z3, lam * z1 * z2 - z3, at(z3)[0])
+    _, dg, w1, w2 = at(t)
     ok = settled & (dg >= 0.0)
     decided[decided] = ok
-    W = np.zeros((int(ok.sum()), 4))
-    W[:, 0], W[:, 1], W[:, 2] = w1[ok], w2[ok], t[ok]
-    return decided, W
+    return decided, np.stack([w1, w2, t, np.zeros_like(t)], axis=1)[ok]
+
+
+def _dense_g(t, Z, lam):
+    # G, G' and w1..w3 (a (3, n) array) of _dense_roots at w4 = t; at lam = 0
+    # and t = z4, s = sum z and w_i = z_i exactly, so G = 0
+    zsum = ((Z[:, 0] + Z[:, 1]) + Z[:, 2]) + Z[:, 3]
+    d = lam * t + 0.5
+    s = ((lam * t * t + (t - Z[:, 3])) + 0.5 * zsum) / d
+    ls = lam * s
+    a, ds = 1.0 - ls, 2.0 - ls / d
+    q = Z[:, :3].T - 0.5 * (zsum - s)
+    r = np.sqrt(a * a + 4.0 * lam * q)
+    w = 2.0 * q / (a + r)
+    dw = ds * (0.5 + lam * w) / r
+    return (((w[0] + w[1]) + w[2]) + t) - s, ((dw[0] + dw[1]) + dw[2]) + (1.0 - ds), w
+
+
+def _dense_roots(Z, lam, pinned):
+    """The dense case of the unpinned rows of the (n, 4) sorted cells Z
+    (entries below 2, one lam per row) as one scalar root each, on a call
+    of more than _SCALAR_ROWS unpinned rows. Returns (decided, W) as
+    _pinned_roots does.
+
+    The stationarity equations add up to s + 2 lam e2(w) = sum z (s = sum w),
+    so equation i is lam w_i^2 + a w_i - q_i = 0, with a = 1 - lam s and
+    q_i = z_i - (sum z - s) / 2. With t = w4 the fourth gives
+    s(t) = (lam t^2 + t + sum z / 2 - z4) / (lam t + 1/2), w1..w3 are the
+    "+" roots 2 q_i / (a + sqrt(a^2 + 4 lam q_i)), and the row is stationary
+    iff G(t) = w1 + w2 + w3 + t - s(t) = 0, tried where G(0) < 0 <= G(z4).
+    (On vectors summing to 0 the case Hessian is diag(2 lam w_i + a), so in
+    its PSD region only w4's term may be negative: w1..w3 take the "+"
+    roots.) A root counts only if it settled, is stationary to GD's
+    tolerance, positive and PSD: then it is the case's minimizer on its
+    convex region. PSD bounds each lam (w_k + w_l) by 1, so lam z1 =
+    lam w1 + lam^2 e2(w2, w3, w4) < 2 there, and no other row is tried.
+    """
+    decided = np.zeros(Z.shape[0], dtype=bool)
+    if np.count_nonzero(~pinned) <= _SCALAR_ROWS:
+        return decided, np.zeros((0, 4))
+    with np.errstate(all="ignore"):  # an inf or NaN fails a test below
+        rows = np.flatnonzero(~pinned & (lam * Z[:, 0] < 2.0))
+        Zr, lam_r = Z[rows], lam[rows]
+        g_lo, g_hi = _dense_g(0.0, Zr, lam_r)[0], _dense_g(Zr[:, 3], Zr, lam_r)[0]
+        keep = (g_lo < 0.0) & (g_hi >= 0.0)
+        rows, Zr, lam_r = rows[keep], Zr[keep], lam_r[keep]
+        t, settled = _bracketed_root(lambda t: _dense_g(t, Zr, lam_r), Zr[:, 3], g_lo[keep],
+                                     g_hi[keep])
+        W = np.vstack([_dense_g(t, Zr, lam_r)[2], t]).T
+        scale = np.maximum(1.0, Zr[:, 0])
+        ok = (settled & np.all(W > _POS_RTOL * scale[:, None], axis=1)
+              & (np.abs(_grad_rows(W, Zr, lam_r[:, None])).max(axis=1) <= DEFAULT_TOL * scale))
+        ok[ok] = _psd_rows(W[ok], lam_r[ok], np.zeros(int(ok.sum()), dtype=bool))
+    decided[rows[ok]] = True
+    return decided, W[ok]
 
 
 def _solve_case_rows(Z, lam, pinned):
     """Solve a prox case on every row of an (n, 4) array of sorted cells, at
     one lam per row: the 3-sparse case where the row's pin is set, the
-    dense case elsewhere.
-
-    _pinned_roots decides the pinned rows it can. The rest take projected
-    GD, then a Newton polish and second-order check on stalled rows; a
-    stalled row whose polish fails takes the interior-point solver's
-    verdict. A row is valid when its case's free coordinates end up strictly
-    positive; an invalid row's weights are zeroed. Returns (W, valid,
-    aborted, iters), with 0 iterations on a row the root decided.
+    dense case elsewhere. The roots decide the rows they can and _gd_rows
+    takes the rest; a stalled row takes a Newton polish, and where the
+    polish fails, the interior-point solver's verdict. A row is valid when
+    its case's free coordinates end up strictly positive, a GD point only
+    in its case's PSD region; an invalid row's weights are zeroed. Returns
+    (W, valid, aborted, iters), with 0 iterations on a row a root decided.
     """
-    decided, W_root = _pinned_roots(Z, lam, pinned)
-    rest, n = ~decided, Z.shape[0]
-    W, outcome, iters = np.zeros((n, 4)), np.zeros(n, dtype=np.int8), np.zeros(n, dtype=np.int64)
-    W[decided] = W_root
-    W[rest], outcome[rest], iters[rest] = _gd_solve_batched(Z[rest], lam[rest], pinned[rest])
+    n = Z.shape[0]
+    W, decided = np.zeros((n, 4)), np.zeros(n, dtype=bool)
+    for roots in (_pinned_roots, _dense_roots):
+        got, W_root = roots(Z, lam, pinned)
+        W[got] = W_root
+        decided |= got
+    rest = ~decided
+    outcome, iters = np.zeros(n, dtype=np.int8), np.zeros(n, dtype=np.int64)
+    W[rest], outcome[rest], iters[rest] = _gd_rows(Z[rest], lam[rest], pinned[rest])
     conv, aborted = outcome == 0, outcome == 1
     for idx in np.flatnonzero(outcome == 2):
         pin, lam_i = pinned[idx], lam[idx]
         tol_eff = DEFAULT_TOL * max(1.0, Z[idx, 0])
-        W[idx], ok = _newton_polish(W[idx], Z[idx], lam_i, pin, tol_eff)
-        if ok:
-            conv[idx] = _second_order_ok(W[idx], lam_i, pin)
+        W[idx], conv[idx] = _newton_polish(W[idx], Z[idx], lam_i, pin, tol_eff)
+        if conv[idx]:
             continue
         # the polish fails once a full Newton step stops lowering the
         # residual, which proves nothing about the case either way, so the
@@ -468,20 +451,33 @@ def _solve_case_rows(Z, lam, pinned):
             W[idx] = w
     thr = _POS_RTOL * np.maximum(1.0, Z[:, 0])
     valid = conv & np.all(W[:, :3] > thr[:, None], axis=1) & (pinned | (W[:, 3] > thr))
+    check = valid & rest
+    valid[check] = _psd_rows(W[check], lam[check], pinned[check])
     W[~valid] = 0.0  # lam times an invalid iterate's penalty can overflow
     return W, valid, aborted, iters
+
+
+def _e2_others(W):
+    """Per column of the (4, m) array W, the elementary symmetric sum of
+    degree 2 of the other three coordinates of each coordinate: for w1 that
+    is w2 (w3 + w4) + w3 w4, and likewise within the pairs (1, 2) and
+    (3, 4). Returns a new (4, m) array."""
+    P = W.reshape(2, 2, -1)
+    sums = P[:, 0] + P[:, 1]
+    prods = P[:, 0] * P[:, 1]
+    return (P[:, ::-1] * sums[::-1, None] + prods[::-1, None]).reshape(4, -1)
 
 
 # Bracket rounds of _screened. On layer256 seed 1111 one round drops 62.54%
 # of the 1.01M case rows, two 62.85%, three 62.87% and four 18 rows more. On
 # row128 the share keeps rising (41.2, 43.1, 43.8 and 44.3% on seeds 1111
-# and 1112), each dropped row shortens the kernel's per-row tail, and three
-# rounds ran fastest of 1, 2, 3, 4 and 6 (2-core x86-64 VM). With the
-# 3-sparse root, two rounds were no faster (lower in 5 and 8 of 15
+# and 1112), each dropped row shortened the then batched GD's per-row tail,
+# and three rounds ran fastest of 1, 2, 3, 4 and 6 (2-core x86-64 VM). With
+# the 3-sparse root, two rounds were no faster (lower in 5 and 8 of 15
 # alternating pairs on layer256 and row128). The root decides no row the
 # screen drops, yet the pinned half still pays: without it the replayed
-# prox calls ran 43% and 18% slower, as the kernel then takes the pinned
-# rows at or above the 2-sparse threshold.
+# prox calls ran 43% and 18% slower, as GD then takes the pinned rows at or
+# above the 2-sparse threshold.
 _SCREEN_ROUNDS = 3
 
 
@@ -493,7 +489,7 @@ def _screened(Z, lam, pinned):
     boolean per row.
 
     Such a point solves w_i = z_i - lam * e2(the other coordinates), here on
-    _gd_solve_batched's (4, m) layout with a pinned z4, and so w4, at 0. For
+    _e2_others' (4, m) layout with a pinned z4, and so w4, at 0. For
     w >= 0 that e2 grows with every coordinate, so from a bracket
     L <= w <= U, starting at U = z, the point satisfies
     w >= L' = max(z - lam e2(U), 0) and then w <= U' = max(z - lam e2(L'), 0).
@@ -538,8 +534,8 @@ def _check_sorted(z):
 
 
 # ---------------------------------------------------------------------------
-# interior-point solver (cross-check of the gradient solver, and its fallback
-# where the Newton polish fails)
+# interior-point solver (cross-check of the roots and the gradient solver, and
+# the fallback where the Newton polish fails)
 
 # constant slope matrices of the dense-case Hessian, dA/dw_i = lam * C_i; the
 # 3-sparse case's are the leading 3 x 3 blocks of the first three
@@ -658,7 +654,8 @@ def solve_case_ipm(z, lam, case):
     # test but these three
     scale = max(1.0, z[0])
     w, ok = _newton_polish(w, z, lam, pinned, tol_eff=1e-11 * scale)
-    if ok and np.all(w[:dim] > _POS_RTOL * scale) and _second_order_ok(w, lam, pinned):
+    if (ok and np.all(w[:dim] > _POS_RTOL * scale)
+            and _psd_rows(w[None, :], np.full(1, lam), np.full(1, pinned))[0]):
         return w
     return None
 
@@ -722,8 +719,9 @@ def prox_enumerate(z, lam) -> ProxResult:
     """Solve the sorted nonnegative cell prox by enumerating the three cases.
 
     Evaluates the closed-form 2-sparse candidate [z1, z2, 0, 0] and the
-    3-sparse and dense candidates from projected GD (the same solve as
-    prox_cells), then returns the one with the smallest objective (ties go
+    3-sparse and dense candidates from prox_cells' case solve (on one cell
+    the dense case takes projected GD), then returns the one with the
+    smallest objective (ties go
     to the sparser case). Raises ValueError unless z is sorted, nonnegative
     and finite and lam is finite and nonnegative.
     """

@@ -19,8 +19,8 @@ of the cell prox, which the sort-free prox_simple_cells must match bit for
 bit. prox_cells_unscreened is prox_cells with every case row solved, which
 prox_cells must match bit for bit, and normalized_rows the scaled cells and
 penalties that both hand to the solvers. solve_case_gd is the pipeline's
-case solve on one sorted cell, and gd_iterates replays that solve's
-projected-GD iterates.
+case solve on one sorted cell, gd_rows_reference replays the projected-GD
+row loop in numpy, and gd_iterates records that replay's iterates.
 """
 
 import sys
@@ -163,29 +163,66 @@ def solve_case_gd(z, lam, case):
     return (W[0] if valid[0] else None), bool(aborted[0]), int(iters[0])
 
 
+def gd_rows_reference(Z, lam, pinned, path=None):
+    """cells._gd_row on every row of the (n, 4) sorted cells Z at once, in
+    numpy (one lam and one pin per row): the same IEEE operations in the
+    same order, each row frozen once it ends. With a list as path, the
+    iterates after each iteration are appended to it, the frozen rows'
+    included. Returns (W, outcome, iters) as cells._gd_rows does."""
+    Z = np.asarray(Z, dtype=np.float64)
+    n = Z.shape[0]
+    z1, z2, z3, z4 = Z.T
+    with np.errstate(over="ignore"):
+        eta = 1.0 / (1.0 + 3.0 * np.minimum(lam * (z1 + z2), 1.0))
+    step_tol = cells.DEFAULT_TOL * np.maximum(1.0, z1) * eta
+    W = np.zeros((n, 4))
+    outcome, iters = np.full(n, 2, dtype=np.int8), np.zeros(n, dtype=np.int64)
+    gcap, live = np.full(n, np.inf), np.ones(n, dtype=bool)
+    with np.errstate(over="ignore"):  # an overflowed gradient norm aborts its row
+        for k in range(1, cells.DEFAULT_MAX_ITER + 1):
+            w1, w2, w3, w4 = W.T
+            s12, p12, s34, p34 = w1 + w2, w1 * w2, w3 + w4, w3 * w4
+            G = np.stack([((w2 * s34 + p34) * lam + w1) - z1, ((w1 * s34 + p34) * lam + w2) - z2,
+                          ((w4 * s12 + p12) * lam + w3) - z3, ((w3 * s12 + p12) * lam + w4) - z4],
+                         axis=1)
+            G[pinned, 3] = 0.0
+            g1, g2, g3, g4 = G.T
+            gn2 = ((g1 * g1 + g2 * g2) + g3 * g3) + g4 * g4
+            abort = live & (gn2 > gcap)
+            outcome[abort], iters[abort] = 1, k - 1
+            live &= ~abort
+            gcap = gn2 * cells._ABORT_GUARD2
+            Wn = np.maximum(W - eta[:, None] * G, 0.0)
+            conv = live & (np.abs(Wn - W).max(axis=1) <= step_tol)
+            W = np.where(live[:, None], Wn, W)
+            outcome[conv] = 0
+            iters[live] = k
+            live &= ~conv
+            if path is not None:
+                path.append(W.copy())
+            if not live.any():
+                break
+    return W, outcome, iters
+
+
 def gd_iterates(z, lam, case):
     """The projected-GD iterates of one case solve of the sorted cell z, as
-    a (k + 1, 4) array from the origin on, for the kernel's k iterations.
+    a (k + 1, 4) array from the origin on, for the k iterations of
+    cells._gd_row.
 
-    cells._gd_solve_batched solves the cell for k; cells._gd_finish_row then
-    replays the solve one step per call, entered at its last iteration
-    (DEFAULT_MAX_ITER - 1) with no abort cap. The last replayed iterate must
-    equal the kernel's output bit for bit, so these are the kernel's own
-    iterates, on every way a row ends: converged, aborted (the kernel keeps
-    the iterate before the gradient grew) or stalled at the cap.
+    gd_rows_reference replays the solve and records every iterate. Its last
+    iterate, outcome and iteration count must equal cells._gd_row's bit for
+    bit, so these are the solver's own iterates, on every way a row ends:
+    converged, aborted (the row keeps the iterate before the gradient grew)
+    or stalled at the cap.
     """
     z, pinned = _case_input(z, lam, case)
-    W, _, iters = cells._gd_solve_batched(z[None, :], np.full(1, lam), pinned)
-    with np.errstate(over="ignore"):  # as in the kernel, near the largest float lam
-        eta = 1.0 / (1.0 + 3.0 * np.minimum(lam * (z[0] + z[1]), 1.0))
-    step_tol = cells.DEFAULT_TOL * np.maximum(1.0, z[0]) * eta
-    w, out = (0.0, 0.0, 0.0, 0.0), [np.zeros(4)]
-    for _ in range(iters[0]):
-        w, _, _ = cells._gd_finish_row(w, z.tolist(), float(lam), pinned[0], float(eta),
-                                       float(step_tol), np.inf, cells.DEFAULT_MAX_ITER - 1)
-        out.append(np.array(w))
-    assert out[-1].tobytes() == W[0].tobytes(), (z, lam, case)
-    return np.array(out)
+    path = [np.zeros((1, 4))]
+    W, outcome, iters = gd_rows_reference(z[None, :], np.full(1, float(lam)), pinned, path)
+    w, outcome_row, iters_row = cells._gd_row(z.tolist(), float(lam), bool(pinned[0]))
+    assert np.array(w).tobytes() == W[0].tobytes(), (z, lam, case)
+    assert (outcome_row, iters_row) == (outcome[0], iters[0]), (z, lam, case)
+    return np.array(path[:iters[0] + 1])[:, 0]
 
 
 def masked_least_squares(w_star, H, keep):

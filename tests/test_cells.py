@@ -22,6 +22,7 @@ from prune24.pruner import LambdaSchedule, clamp_top2, is_24_sparse, prune_prox
 from reference import (
     brute_force_prox_oracle,
     gd_iterates,
+    gd_rows_reference,
     hessian_g,
     is_psd,
     kkt_check,
@@ -199,9 +200,10 @@ def _no_roots(Z, lam, pinned):
 
 @pytest.fixture
 def kernel_only(monkeypatch):
-    # _solve_case_rows with the 3-sparse root deciding no row, so that every
-    # case row, pinned or not, takes the kernel, its polish and the IPM
+    # _solve_case_rows with neither root deciding a row, so that every case
+    # row, pinned or not, takes projected GD, its polish and the IPM
     monkeypatch.setattr(cells, "_pinned_roots", _no_roots)
+    monkeypatch.setattr(cells, "_dense_roots", _no_roots)
 
 
 def _fail_first_polish(monkeypatch, pinned):
@@ -502,27 +504,27 @@ GD_ENDINGS = [
 
 @pytest.mark.parametrize("z, lam, case, ending", GD_ENDINGS)
 def test_gd_iterates_replays_every_way_a_kernel_row_ends(z, lam, case, ending):
-    # gd_iterates asserts that its last replayed iterate is the kernel's
-    # output bit for bit; the replay must also take the kernel's step count
+    # gd_iterates asserts that its last replayed iterate is the row loop's
+    # output bit for bit; the replay must also take the row loop's step count
     z, pinned = np.array(z), case == "three_sparse"
-    _, outcome, iters = cells._gd_solve_batched(z[None, :], np.full(1, lam), np.array([pinned]))
-    assert outcome[0] == ("converged", "aborted", "stalled").index(ending)
-    assert (iters[0] == cells.DEFAULT_MAX_ITER) == (ending == "stalled")
+    _, outcome, iters = cells._gd_row(z.tolist(), lam, pinned)
+    assert outcome == ("converged", "aborted", "stalled").index(ending)
+    assert (iters == cells.DEFAULT_MAX_ITER) == (ending == "stalled")
     traj = gd_iterates(z, lam, case)
-    assert traj.shape == (iters[0] + 1, 4)
+    assert traj.shape == (iters + 1, 4)
     assert not traj[0].any()
     assert np.all(traj >= 0.0) and np.all(traj <= z)
     assert not (pinned and traj[:, 3].any())
 
 
 def test_gd_iterates_rejects_a_kernel_output_it_does_not_reach(monkeypatch):
-    kernel = cells._gd_solve_batched
+    row = cells._gd_row
 
-    def one_ulp_off(Z, lam, pinned):
-        W, *rest = kernel(Z, lam, pinned)
-        return (np.nextafter(W, np.inf), *rest)
+    def one_ulp_off(z, lam, pinned):
+        w, *rest = row(z, lam, pinned)
+        return (tuple(np.nextafter(w, np.inf)), *rest)
 
-    monkeypatch.setattr(cells, "_gd_solve_batched", one_ulp_off)
+    monkeypatch.setattr(cells, "_gd_row", one_ulp_off)
     with pytest.raises(AssertionError):
         gd_iterates(np.array(_Z_MID), 0.05, "dense")
 
@@ -530,8 +532,8 @@ def test_gd_iterates_rejects_a_kernel_output_it_does_not_reach(monkeypatch):
 def _gd_solve_reference(Z, lam, pinned):
     """The fixed-step kernel: projected GD at step 1/4 on an (n, 4) array
     with one lam per row, every row stepping until all have finished. Same
-    contract as cells._gd_solve_batched, whose outcome codes converged rows
-    0, aborted rows 1 and stalled rows 2."""
+    contract as cells._gd_rows, whose outcome codes converged rows 0,
+    aborted rows 1 and stalled rows 2."""
     eta, guard = 0.25, 1.0 + 1e-12
     Z = np.asarray(Z, dtype=np.float64)
     n = Z.shape[0]
@@ -564,12 +566,12 @@ def _gd_solve_reference(Z, lam, pinned):
 
 
 @pytest.mark.parametrize("lam", [0.01, 0.1, 0.3, 1.0, 3.0])
-def test_prox_cells_matches_the_fixed_step_kernel(monkeypatch, lam):
+def test_prox_cells_matches_the_fixed_step_kernel(monkeypatch, kernel_only, lam):
     # the per-cell step moves each case solution within the GD tolerance:
     # every cell keeps its case and its weights to 1e-8
     cells_mat = np.random.default_rng(25).normal(size=(1000, 4))
     fast = prox_cells(cells_mat, lam)
-    monkeypatch.setattr(cells, "_gd_solve_batched", _gd_solve_reference)
+    monkeypatch.setattr(cells, "_gd_rows", _gd_solve_reference)
     ref = prox_cells(cells_mat, lam)
     assert np.array_equal(np.count_nonzero(fast, axis=1), np.count_nonzero(ref, axis=1))
     assert np.abs(fast - ref).max() <= 1e-8
@@ -630,35 +632,54 @@ def test_cell_objective_is_nonnegative_and_signed_permutation_invariant():
         assert cell_objective(a, b, lam) == float(cells._objective_rows(a, b, lam))
 
 
-def test_one_kernel_pass_per_prox(monkeypatch, kernel_only):
-    # both convex cases of every cell are solved in one projected-GD batch,
-    # whose rows, penalties and pins are exactly the stacked normalized case
-    # rows the screen keeps; a call whose rows are all screened still makes
-    # its one, empty, batch
-    kernel, batches = cells._gd_solve_batched, []
+def _record_gd_rows(monkeypatch):
+    # every call of the GD row loop, as (rows, penalties, pins)
+    gd_rows, batches = cells._gd_rows, []
 
     def recording(Z, lam, pinned):
         batches.append((Z.copy(), np.array(lam), np.array(pinned)))
-        return kernel(Z, lam, pinned)
+        return gd_rows(Z, lam, pinned)
 
-    monkeypatch.setattr(cells, "_gd_solve_batched", recording)
+    monkeypatch.setattr(cells, "_gd_rows", recording)
+    return batches
+
+
+def _rows_neither_root_decides(cells_mat, lam):
+    # the stacked normalized case rows of prox_cells(cells_mat, lam), the
+    # 3-sparse case on the first half, and which of them the screen keeps
+    # and neither root decides
+    Z, _, _ = pos_sort_cells(np.reshape(cells_mat, (-1, 4)))
+    Z, lam_rows, _ = normalized_rows(Z, lam)
+    Z, pinned = np.vstack([Z, Z]), np.arange(2 * len(Z)) < len(Z)
+    lam_rows = np.concatenate([lam_rows, lam_rows])
+    keep = np.flatnonzero(~cells._screened(Z, lam_rows, pinned))
+    Zk, lam_k, pin_k = Z[keep], lam_rows[keep], pinned[keep]
+    rest = ~(cells._pinned_roots(Zk, lam_k, pin_k)[0] | cells._dense_roots(Zk, lam_k, pin_k)[0])
+    return Z, lam_rows, pinned, keep[rest]
+
+
+def test_one_kernel_pass_per_prox(monkeypatch):
+    # both convex cases of every cell are solved in one pass, and GD gets
+    # exactly the stacked normalized case rows, penalties and pins that the
+    # screen keeps and neither root decides; a call whose rows are all
+    # screened still makes its one, empty, pass. The screen keeps 17 dense
+    # rows of the 50 cells, all of which GD gets, and 67 of the 200, where
+    # the dense root runs
+    batches = _record_gd_rows(monkeypatch)
     for call, arg, lam, shape in [
-        (prox_cells, np.random.default_rng(26).normal(size=(50, 4)), 0.3, (51, 34)),
+        (prox_cells, np.random.default_rng(26).normal(size=(50, 4)), 0.3, (18, 1)),
+        (prox_cells, np.random.default_rng(26).normal(size=(200, 4)), 0.3, (43, 6)),
         (prox_cells, [[10.0, -10.0, 0.1, 0.05]], 0.1, (0, 0)),
-        (prox_enumerate, [1.6, 1.1, 0.8, 0.5], 0.3, (2, 1)),
+        (prox_enumerate, [1.6, 1.1, 0.8, 0.5], 0.3, (1, 0)),
     ]:
         batches.clear()
         call(arg, lam)
-        Z, _, _ = pos_sort_cells(np.reshape(arg, (-1, 4)))
-        Z, lam_rows, _ = normalized_rows(Z, lam)
-        Z, pinned = np.vstack([Z, Z]), np.arange(2 * len(Z)) < len(Z)
-        lam_rows = np.concatenate([lam_rows, lam_rows])
-        keep = ~cells._screened(Z, lam_rows, pinned)
-        [(Z_kernel, lam_kernel, pinned_kernel)] = batches
-        assert Z_kernel.tobytes() == Z[keep].tobytes()
-        assert lam_kernel.tobytes() == lam_rows[keep].tobytes()
-        assert np.array_equal(pinned_kernel, pinned[keep])
-        assert (len(Z_kernel), int(np.count_nonzero(pinned_kernel))) == shape
+        Z, lam_rows, pinned, gd = _rows_neither_root_decides(arg, lam)
+        [(Z_gd, lam_gd, pinned_gd)] = batches
+        assert Z_gd.tobytes() == Z[gd].tobytes()
+        assert lam_gd.tobytes() == lam_rows[gd].tobytes()
+        assert np.array_equal(pinned_gd, pinned[gd])
+        assert (len(Z_gd), int(np.count_nonzero(pinned_gd))) == shape
 
 
 def test_screen_drops_only_rows_the_case_solve_calls_invalid():
@@ -705,24 +726,47 @@ def test_prox_cells_equals_the_unscreened_prox_bit_for_bit():
         assert prox_cells(C, lam).tobytes() == prox_cells_unscreened(C, lam).tobytes(), lam
 
 
-def test_dense_stationary_point_outside_the_convex_region_loses_the_case_pick():
+def test_psd_rows_matches_the_spectrum():
+    # Gershgorin's shortcut and the elementwise LDL^T give the eigenvalue
+    # test's verdict on both cases, away from its boundary, and fail a NaN
+    rng = np.random.default_rng(38)
+    n = 20000
+    W = rng.uniform(size=(n, 4)) * 10.0 ** rng.uniform(-1.0, 0.5, size=(n, 1))
+    lam, pinned = 10.0 ** rng.uniform(-2.0, 1.0, size=n), rng.random(n) < 0.5
+    W[pinned, 3] = 0.0
+    got = cells._psd_rows(W, lam, pinned)
+    eig = np.array([np.linalg.eigvalsh(cells._case_hessian(w, lam_i, pin))[0]
+                    for w, lam_i, pin in zip(W, lam, pinned)])
+    clear = np.abs(eig + cells._SECOND_ORDER_TOL) > 1e-12
+    assert np.array_equal(got[clear], eig[clear] >= -cells._SECOND_ORDER_TOL)
+    for pin in (True, False):  # each case, on both sides, past Gershgorin too
+        gersh = (2.0 - pin) * lam * (W.sum(axis=1) - W.min(axis=1)) <= 1.0
+        assert np.any(got & ~gersh & (pinned == pin)) and np.any(~got & (pinned == pin))
+    W[0, 1] = np.nan
+    assert not cells._psd_rows(W[:1], lam[:1], pinned[:1])[0]
+
+
+def test_dense_stationary_point_outside_the_convex_region_is_invalid():
     # at z = ones(4), lam = 5 the dense row converges to the symmetric point
-    # w + 3 lam w^2 = 1, where hessian_f is indefinite, and stays a valid
-    # candidate: the screen keeps it, as its lower bound max(1 - 3 lam, 0) is
-    # 0. The case pick still returns the 2-sparse prox, which the oracle finds
+    # w + 3 lam w^2 = 1, where hessian_f is indefinite: not the case's
+    # minimizer on its convex region, so the case is invalid, as the IPM
+    # finds. The screen keeps the row, as its lower bound max(1 - 3 lam, 0)
+    # is 0, and the prox is the 2-sparse one, which the oracle finds
     z, lam = np.ones(4), 5.0
     assert not cells._screened(z[None, :], lam, np.array([False]))[0]
-    w, aborted, _ = solve_case_gd(z, lam, "dense")
-    assert w is not None and not aborted
+    w, outcome, iters = cells._gd_row(z.tolist(), lam, False)
+    assert outcome == 0
     assert np.allclose(w, (np.sqrt(1.0 + 12.0 * lam) - 1.0) / (6.0 * lam), atol=1e-9)
     assert not is_psd(hessian_f(w, lam))
+    assert solve_case_gd(z, lam, "dense") == (None, False, iters)
+    assert solve_case_ipm(z, lam, "dense") is None
     out = prox_cells(z[None, :], lam)[0]
     assert np.array_equal(out, [1.0, 1.0, 0.0, 0.0])
     assert np.array_equal(out, brute_force_prox_oracle(z, lam)[0])
 
 
 # ---------------------------------------------------------------------------
-# the 3-sparse case as a scalar root
+# the 3-sparse and dense cases as scalar roots
 
 
 def _pinned_hessians(W, lam):
@@ -733,27 +777,42 @@ def _pinned_hessians(W, lam):
     return H
 
 
-def _root_and_kernel(Z, lam):
-    """The normalized pinned rows of the sorted cells Z at lam, which rows
-    _pinned_roots decides, and _solve_case_rows' (W, valid) with the root
-    and with the kernel alone."""
+def _case_hessians(W, lam, pinned):
+    # the case Hessians of the rows of W, stacked: the 3-sparse case's if
+    # pinned, else the dense case's
+    if pinned:
+        return _pinned_hessians(W, lam)
+    return np.array([hessian_f(w, lam_i) for w, lam_i in zip(W, lam)]).reshape(-1, 4, 4)
+
+
+def _roots_of(pinned):
+    return cells._pinned_roots if pinned else cells._dense_roots
+
+
+def _root_and_kernel(Z, lam, pinned):
+    """The normalized rows of the sorted cells Z at lam, in the 3-sparse case
+    if pinned and the dense case otherwise, which rows that case's root
+    decides, and _solve_case_rows' (W, valid) with the roots and with GD
+    alone."""
     Z, lam, _ = normalized_rows(Z, lam)
-    pinned = np.ones(len(Z), dtype=bool)
-    decided, _ = cells._pinned_roots(Z, lam, pinned)
+    pinned = np.full(len(Z), pinned)
+    decided, _ = _roots_of(pinned[0])(Z, lam, pinned)
     W, valid, _, _ = cells._solve_case_rows(Z, lam, pinned)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(cells, "_pinned_roots", _no_roots)
+        m.setattr(cells, "_dense_roots", _no_roots)
         W_k, valid_k, _, _ = cells._solve_case_rows(Z, lam, pinned)
     return Z, lam, decided, W, valid, W_k, valid_k
 
 
 def test_root_and_kernel_make_the_same_case_decisions():
     # on the acceptance batch (1000 sorted cells at lam 0.01, 0.1, 1 and 10)
-    # and on 20,000 sorted cells at lam log-uniform on [0.01, 10], the root
-    # decides every pinned row below the 2-sparse threshold and gives it the
-    # kernel's verdict. The kernel stops on a step of 1e-10 of the scale,
-    # so its weights are off by up to that over the case Hessian's smallest
-    # eigenvalue; the root's agree with them to 1e-9 of the scale over it
+    # and on 20,000 sorted cells at lam log-uniform on [0.01, 10], the 3-sparse
+    # root decides every pinned row below the 2-sparse threshold, the dense
+    # root only rows that GD calls valid, and both give GD's verdict. GD
+    # stops on a step of 1e-10 of the scale, so its weights are off by up
+    # to that over the case Hessian's smallest eigenvalue; the roots' agree
+    # with them to 1e-9 of the scale over it
     rng = np.random.default_rng(2024)
     batches = [(np.array([sorted_abs(rng) for _ in range(1000)]),
                 np.resize([0.01, 0.1, 1.0, 10.0], 1000))]
@@ -761,19 +820,44 @@ def test_root_and_kernel_make_the_same_case_decisions():
     batches.append((np.sort(np.abs(rng.normal(size=(20000, 4))), axis=1)[:, ::-1],
                     10.0 ** rng.uniform(-2.0, 1.0, size=20000)))
     for Z, lam in batches:
-        Z, lam, decided, W, valid, W_k, valid_k = _root_and_kernel(Z, lam)
-        assert np.array_equal(decided, lam * Z[:, 0] * Z[:, 1] < Z[:, 2])
-        assert np.array_equal(valid, valid_k)
-        both = decided & valid
-        assert both.sum() > 0.4 * len(Z)  # 10,669 of the 20,000
-        eig = np.linalg.eigvalsh(_pinned_hessians(W[both], lam[both]))[:, 0]
-        err = np.abs(W[both] - W_k[both]).max(axis=1)
-        assert np.all(err <= 1e-9 * np.maximum(1.0, Z[both, 0]) / eig)
+        for pinned, share in ((True, 0.4), (False, 0.3)):
+            Zn, lam_n, decided, W, valid, W_k, valid_k = _root_and_kernel(Z, lam, pinned)
+            if pinned:
+                assert np.array_equal(decided, lam_n * Zn[:, 0] * Zn[:, 1] < Zn[:, 2])
+            else:
+                assert np.all(valid_k[decided])
+            assert np.array_equal(valid, valid_k)
+            both = decided & valid
+            assert both.sum() > share * len(Zn)  # 10,669 and 6,605 of the 20,000
+            eig = np.linalg.eigvalsh(_case_hessians(W[both], lam_n[both], pinned))[:, 0]
+            err = np.abs(W[both] - W_k[both]).max(axis=1)
+            assert np.all(err <= 1e-9 * np.maximum(1.0, Zn[both, 0]) / eig)
+
+
+def test_dense_root_decides_only_rows_gd_calls_valid():
+    # on 60,000 cells z ~ U[0, 2] at lam log-uniform on [0.01, 10], every
+    # dense row the root decides is one that GD, row by row, also calls
+    # valid, with weights within 1e-8; the root decides almost all of those
+    rng = np.random.default_rng(37)
+    n = 60000
+    Z = np.sort(rng.uniform(0.0, 2.0, size=(n, 4)), axis=1)[:, ::-1]
+    lam = np.exp(rng.uniform(np.log(0.01), np.log(10.0), size=n))
+    pinned = np.zeros(n, dtype=bool)
+    decided, W = cells._dense_roots(Z, lam, pinned)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(cells, "_dense_roots", _no_roots)
+        W_gd, valid, _, _ = cells._solve_case_rows(Z, lam, pinned)
+    assert np.all(valid[decided])
+    assert np.abs(W - W_gd[decided]).max() <= 1e-8
+    assert decided.sum() >= 0.999 * valid.sum()  # 25,685 of 25,695
 
 
 def test_root_path_agrees_with_the_ipm():
     # below the 2-sparse threshold the 3-sparse case is the root's; its
-    # verdict and weights, and the whole prox, match the interior point's
+    # verdict and weights, and the whole prox, match the interior point's.
+    # Dense rows take the dense root in a call of more than _SCALAR_ROWS of
+    # them; where it decides, the IPM finds the same weights, and the prox
+    # of the call matches the interior point's cell by cell
     rng = np.random.default_rng(34)
     rooted = 0
     for _ in range(60):
@@ -791,6 +875,22 @@ def test_root_path_agrees_with_the_ipm():
         assert np.abs(res.w - res_ipm.w).max() <= 1e-9 * max(1.0, z[0]), (z, lam)
     assert rooted == 60
 
+    n = 60
+    Z = np.array([sorted_abs(rng, np.exp(rng.uniform(-1.0, 1.0))) for _ in range(n)])
+    lam = 10.0 ** rng.uniform(-2.0, 0.0, size=n)
+    Zn, lam_n, s = normalized_rows(Z, lam)
+    decided, _ = cells._dense_roots(Zn, lam_n, np.zeros(n, dtype=bool))
+    W, valid, _, iters = cells._solve_case_rows(Zn, lam_n, np.zeros(n, dtype=bool))
+    assert np.array_equal(iters == 0, decided) and decided.sum() > n // 3  # 24 of the 60
+    for i in np.flatnonzero(decided):
+        w_ipm = solve_case_ipm(Z[i], lam[i], "dense")
+        assert w_ipm is not None, (Z[i], lam[i])
+        assert np.abs(W[i] * s[i] - w_ipm).max() <= 1e-9 * max(1.0, Z[i, 0]), (Z[i], lam[i])
+    out, *_ = cells._prox_sorted(Z, lam)  # prox_cells' body, at one lam per cell
+    for i in range(n):
+        w_ipm = prox_enumerate_ipm(Z[i], lam[i]).w
+        assert np.abs(out[i] - w_ipm).max() <= 1e-9 * max(1.0, Z[i, 0]), (Z[i], lam[i])
+
 
 def test_accepted_roots_are_stationary_in_the_psd_region():
     rng = np.random.default_rng(35)
@@ -798,104 +898,108 @@ def test_accepted_roots_are_stationary_in_the_psd_region():
     Z = np.sort(np.abs(rng.normal(size=(n, 4))), axis=1)[:, ::-1] * np.exp(
         rng.uniform(-3.0, 3.0, size=(n, 1)))
     Z, lam, _ = normalized_rows(Z, 10.0 ** rng.uniform(-2.0, 1.0, size=n))
-    decided, W = cells._pinned_roots(Z, lam, np.ones(n, dtype=bool))
-    assert decided.sum() > n // 4 and not W[:, 3].any()
-    Z, lam = Z[decided], lam[decided]
-    G = cells._grad_rows(W, Z, lam[:, None])[:, :3]
-    assert np.abs(G).max(axis=1).max() <= 1e-12
-    assert np.all(W[:, :3] > 0.0)
-    assert np.linalg.eigvalsh(_pinned_hessians(W, lam))[:, 0].min() >= -1e-9
+    for pinned, share in ((True, 4), (False, 6)):
+        decided, W = _roots_of(pinned)(Z, lam, np.full(n, pinned))
+        assert decided.sum() > n // share and (not pinned or not W[:, 3].any())
+        Zd, lam_d, dim = Z[decided], lam[decided], 4 - pinned
+        G = cells._grad_rows(W, Zd, lam_d[:, None])[:, :dim]
+        assert np.abs(G).max(axis=1).max() <= 1e-12
+        assert np.all(W[:, :dim] > 0.0)
+        assert np.linalg.eigvalsh(_case_hessians(W, lam_d, pinned))[:, 0].min() >= -1e-9
 
 
-@pytest.mark.parametrize("z, lam, decided", [
-    pytest.param([1.0, 1.0, 1.0, 0.5], 0.1, True, id="three-way-tie"),
-    pytest.param([1.0, 1.0, 0.999, 0.3], 0.998, True, id="tie-near-u-1"),
-    pytest.param([1.0, 1.0, 0.5, 0.5], 0.5, False, id="tie-at-threshold"),
-    pytest.param([1.6, 1.1, 0.0, 0.0], 0.3, False, id="z3-zero"),
-    pytest.param([1.6, 1.1, 0.8, 0.5], 0.0, True, id="lam-zero"),
-    pytest.param([1.6, 1.1, 0.8, 0.5], sys.float_info.max, False, id="lam-max"),
-    pytest.param([1.6, 1e-300, 1e-300, 0.0], sys.float_info.max, False, id="lam-max-tiny"),
+@pytest.mark.parametrize("z, lam, decided, pinned", [
+    pytest.param([1.0, 1.0, 1.0, 0.5], 0.1, True, True, id="three-way-tie"),
+    pytest.param([1.0, 1.0, 0.999, 0.3], 0.998, True, True, id="tie-near-u-1"),
+    pytest.param([1.0, 1.0, 0.5, 0.5], 0.5, False, True, id="tie-at-threshold"),
+    pytest.param([1.6, 1.1, 0.0, 0.0], 0.3, False, True, id="z3-zero"),
+    pytest.param([1.6, 1.1, 0.8, 0.5], 0.0, True, True, id="lam-zero"),
+    pytest.param([1.6, 1.1, 0.8, 0.5], sys.float_info.max, False, True, id="lam-max"),
+    pytest.param([1.6, 1e-300, 1e-300, 0.0], sys.float_info.max, False, True, id="lam-max-tiny"),
+    pytest.param([1.6, 1.1, 0.8, 0.0], 0.1, False, False, id="dense-z4-zero"),
+    pytest.param([1.0, 1.0, 1.0, 1.0], 0.1, True, False, id="dense-four-way-tie"),
+    pytest.param([1.0, 1.0, 1.0, 1.0], 5.0, False, False, id="dense-tie-outside-psd"),
+    pytest.param([1.6, 1.1, 0.8, 0.5], 0.0, True, False, id="dense-lam-zero"),
+    pytest.param([1.6, 1.1, 0.8, 0.5], sys.float_info.max, False, False, id="dense-lam-max"),
 ])
-def test_root_edge_cases_raise_no_warning(z, lam, decided):
-    # ties, z3 = 0, lam = 0 and the largest float lam: the root decides
-    # exactly the rows below the 2-sparse threshold, with no 0 / 0 at a
-    # tie, no overflow and no warning, and the prox is the oracle's
+def test_root_edge_cases_raise_no_warning(z, lam, decided, pinned):
+    # ties, z3 = 0 or z4 = 0, lam = 0 and the largest float lam: the 3-sparse
+    # root decides exactly the rows below the 2-sparse threshold, and the
+    # dense root a call of the row repeated past _SCALAR_ROWS where its case
+    # is valid, with no 0 / 0 at a tie, no overflow and no warning; lam = 0
+    # returns z exactly, and the prox is the oracle's
     z = np.array(z)
-    Zn, lam_n, s = normalized_rows(z[None, :], lam)
+    m = 1 if pinned else cells._SCALAR_ROWS + 1
+    Zn, lam_n, s = normalized_rows(np.repeat(z[None, :], m, axis=0), lam)
+    pin = np.full(m, pinned)
     with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise", divide="raise"):
         warnings.simplefilter("error")
-        got, W = cells._pinned_roots(Zn, lam_n, np.array([True]))
-        w, _, iters = solve_case_gd(z, lam, "three_sparse")
-        out = prox_cells(z[None, :], lam)[0]
-    assert got[0] == decided and (iters == 0) == decided
+        got, W = _roots_of(pinned)(Zn, lam_n, pin)
+        W_case, valid, _, iters = cells._solve_case_rows(Zn, lam_n, pin)
+        out = prox_cells(np.repeat(z[None, :], m, axis=0), lam)
+    assert np.all(got == decided) and np.all((iters == 0) == decided)
     if lam == 0.0:
-        assert np.array_equal(w, [1.6, 1.1, 0.8, 0.0])
+        assert np.array_equal(W_case[0] * s[0], z if not pinned else [1.6, 1.1, 0.8, 0.0])
     if decided and z[0] == z[1]:
-        # a tie gives w1 = w2 = z1 / (1 + lam w3), and w3 = z3 - lam w1**2
-        w1, w2, w3, _ = W[0] * s[0]
+        w1, w2, w3, w4 = W[0] * s[0]
         assert w1 == w2
-        assert abs(w1 * (1.0 + lam * w3) - z[0]) <= 1e-12
-        assert abs(w3 + lam * w1 * w1 - z[2]) <= 1e-12
+        if pinned:
+            # a tie gives w1 = w2 = z1 / (1 + lam w3), and w3 = z3 - lam w1**2
+            assert abs(w1 * (1.0 + lam * w3) - z[0]) <= 1e-12
+            assert abs(w3 + lam * w1 * w1 - z[2]) <= 1e-12
+        else:
+            # a four-way tie gives w + 3 lam w**2 = z1 in every coordinate
+            assert w3 == w1
+            for w in (w1, w4):
+                assert abs(w + 3.0 * lam * w * w - z[0]) <= 1e-12
     if lam < 1e300:
         _, fo = brute_force_prox_oracle(z, lam)
-        assert cell_objective(out, z, lam) <= fo + 1e-9
+        assert cell_objective(out[0], z, lam) <= fo + 1e-9
     else:
-        assert np.array_equal(out, clamp_top2(z[None, :])[0])
+        assert np.array_equal(out[0], clamp_top2(z[None, :])[0])
 
 
 def test_the_kernel_gets_only_the_rows_the_root_leaves(monkeypatch):
-    # one kernel pass per prox, on the rows the screen keeps less the ones
-    # the root decides; no pinned row below the 2-sparse threshold is left
-    kernel, batches = cells._gd_solve_batched, []
-
-    def recording(Z, lam, pinned):
-        batches.append((Z.copy(), np.array(lam), np.array(pinned)))
-        return kernel(Z, lam, pinned)
-
-    monkeypatch.setattr(cells, "_gd_solve_batched", recording)
+    # one GD pass per prox, on the rows the screen keeps less the ones the
+    # roots decide, in calls of more than _SCALAR_ROWS dense rows, where the
+    # dense root runs; no pinned row below the 2-sparse threshold is left
+    batches = _record_gd_rows(monkeypatch)
     cells_mat = np.random.default_rng(36).normal(size=(400, 4))
     for lam in (0.01, 0.3, 3.0):
         batches.clear()
         prox_cells(cells_mat, lam)
-        Z, _, _ = pos_sort_cells(cells_mat)
-        Z, lam_rows, _ = normalized_rows(Z, lam)
-        Z, pinned = np.vstack([Z, Z]), np.arange(2 * len(Z)) < len(Z)
-        lam_rows = np.concatenate([lam_rows, lam_rows])
-        keep = ~cells._screened(Z, lam_rows, pinned)
-        keep &= ~cells._pinned_roots(Z, lam_rows, pinned)[0]
-        [(Z_kernel, lam_kernel, pinned_kernel)] = batches
-        assert Z_kernel.tobytes() == Z[keep].tobytes()
-        assert lam_kernel.tobytes() == lam_rows[keep].tobytes()
-        assert np.array_equal(pinned_kernel, pinned[keep])
-        P, lam_p = Z_kernel[pinned_kernel], lam_kernel[pinned_kernel]
+        Z, lam_rows, pinned, gd = _rows_neither_root_decides(cells_mat, lam)
+        [(Z_gd, lam_gd, pinned_gd)] = batches
+        assert Z_gd.tobytes() == Z[gd].tobytes()
+        assert lam_gd.tobytes() == lam_rows[gd].tobytes()
+        assert np.array_equal(pinned_gd, pinned[gd])
+        P, lam_p = Z_gd[pinned_gd], lam_gd[pinned_gd]
         assert np.all(lam_p * P[:, 0] * P[:, 1] >= P[:, 2])
-
-
-def _kernel_and_prox(monkeypatch, scalar_rows, Z, pinned, cells_mat, lam):
-    monkeypatch.setattr(cells, "_SCALAR_ROWS", scalar_rows)
-    out = cells._gd_solve_batched(Z, np.full(len(Z), lam), pinned)
-    return [a.tobytes() for a in out], prox_cells(cells_mat, lam).tobytes()
+        dense_kept = np.count_nonzero(~pinned & ~cells._screened(Z, lam_rows, pinned))
+        assert dense_kept > cells._SCALAR_ROWS
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.01, 0.1, 0.3, 1.0, 3.0, sys.float_info.max])
-def test_batch_and_row_loops_agree_bit_for_bit(monkeypatch, kernel_only, lam):
-    # every row run wholly in the batch (0) or wholly in the row loop (a
-    # huge limit) ends with the same weights, flags and iteration counts,
-    # signed zeros included, also where the iteration cap stalls rows
+def test_gd_row_loop_matches_the_numpy_reference_bit_for_bit(monkeypatch, lam):
+    # the row loop in Python floats takes the numpy reference's steps: every
+    # row ends with the same weights, signed zeros included, the same
+    # outcome and the same iteration count, on cells with exact and signed
+    # zeros, at the largest float lam (whose gradients overflow), and where
+    # a cap of 3 iterations stalls rows
     rng = np.random.default_rng(29)
-    for n in (1, 3, 64, 2000):
-        cells_mat = rng.normal(size=(n, 4)) * np.exp(rng.uniform(-3.0, 3.0, size=(n, 1)))
-        Z, _, _ = pos_sort_cells(cells_mat)
-        Z, pinned = np.vstack([Z, Z]), np.arange(2 * n) < n
-        batch = _kernel_and_prox(monkeypatch, 0, Z, pinned, cells_mat, lam)
-        rows = _kernel_and_prox(monkeypatch, 1 << 30, Z, pinned, cells_mat, lam)
-        assert batch == rows, n
-        if n == 64:
-            with monkeypatch.context() as m:
-                m.setattr(cells, "DEFAULT_MAX_ITER", 3)
-                batch = _kernel_and_prox(m, 0, Z, pinned, cells_mat, lam)
-                rows = _kernel_and_prox(m, 1 << 30, Z, pinned, cells_mat, lam)
-            assert batch == rows, n
+    n = 256
+    cells_mat = rng.normal(size=(n, 4)) * np.exp(rng.uniform(-3.0, 3.0, size=(n, 1)))
+    cells_mat[rng.random(size=cells_mat.shape) < 0.1] = -0.0
+    cells_mat[rng.random(size=cells_mat.shape) < 0.1] = 0.0
+    Z, _, _ = pos_sort_cells(cells_mat)
+    Z, pinned, lam_rows = np.vstack([Z, Z]), np.arange(2 * n) < n, np.full(2 * n, lam)
+    for max_iter in (cells.DEFAULT_MAX_ITER, 3):
+        monkeypatch.setattr(cells, "DEFAULT_MAX_ITER", max_iter)
+        got = cells._gd_rows(Z, lam_rows, pinned)
+        ref = gd_rows_reference(Z, lam_rows, pinned)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in ref], max_iter
+        if max_iter == 3 and 0.0 < lam < 1e300:
+            assert np.count_nonzero(got[1] == 2) > 0  # stalled rows
 
 
 @pytest.mark.parametrize("lam", [0.1, 0.3, 1.0])
