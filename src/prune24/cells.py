@@ -9,15 +9,19 @@ by convex optimization.
 Both convex cases are scalar roots where it matters most, solved by one
 bracketed Newton loop: the 3-sparse case below the 2-sparse threshold,
 lam z1 z2 < z3, as a root in w3 (``_pinned_roots``), and the dense case as
-a root in w4 (``_dense_roots``, on calls of more than _SCALAR_ROWS dense
-rows), each accepted only in its case's PSD region, where the case
-objective is convex. Every row no root decides takes projected gradient
-descent from the origin, one row at a time in Python floats (``_gd_row``),
-with a per-cell step 1/min(4, 1 + 3 lam (z1 + z2)) that the case Hessian's
-spectrum on the iterates' box [0, z] allows, and an abort rule that
-discards a case once the gradient norm strictly increases (that cannot
-happen where the case objective is convex). A point GD converges to counts
-only in the case's PSD region (``_psd_rows``).
+a root in w4 (``_dense_roots``), each accepted only in its case's PSD
+region, where the case objective is convex. Every row no root decides
+takes projected gradient descent from the origin, one row at a time in
+Python floats (``_gd_row``), with a per-cell step
+1/min(4, 1 + 3 lam (z1 + z2)) that the case Hessian's spectrum on the
+iterates' box [0, z] allows, and an abort rule that discards a case once
+the gradient norm strictly increases (that cannot happen where the case
+objective is convex). A point GD converges to counts only in the case's
+PSD region (``_psd_rows``). A call of at most 2 _SCALAR_ROWS case rows
+runs all of this row by row in Python floats (``_pinned_row``,
+``_dense_row``, ``_psd_row``), a larger one through the batched numpy
+roots; the float path replays the numpy arithmetic, so a row's bits never
+depend on its batch.
 
 The case logic lives in two batched functions over n sorted cells:
 ``_solve_case_rows`` (the two roots, then projected GD on the rows they
@@ -35,7 +39,7 @@ and ``prox_enumerate`` calls it on one sorted cell. Every entry point raises
 ValueError unless lam is finite and nonnegative and the cells are finite.
 ``_prox_sorted`` solves every cell scaled exactly to entries below 2, so no
 lam up to the largest float and no finite cell raises a numpy overflow,
-invalid-value or divide warning.
+invalid-value or divide warning, nor a Python float error on the float path.
 
 Every case solver works on the same case form: a sorted 4-vector whose last
 coordinate a pin holds at zero in the 3-sparse case. The 3-sparse case's
@@ -48,6 +52,7 @@ roots and the gradient solver.
 
 import sys
 from dataclasses import dataclass
+from math import nan, sqrt
 
 import numpy as np
 
@@ -297,9 +302,11 @@ def _psd_rows(W, lam, pinned):
 _ROOT_TOL = 1e-13  # a root has settled once its step is this small (scaled units)
 _ROOT_MAX_ITER = 64  # enough bisections to settle any bracket of width <= 2
 
-# The dense root makes about 40 numpy calls per Newton step, of microseconds
-# each however few rows they hold, and one _gd_row step costs about 1.5 us,
-# so only calls with more than this many unpinned rows take the dense root.
+# _solve_case_rows solves a call of at most 2 _SCALAR_ROWS case rows (a
+# row128 prox call has at most 64) row by row in Python floats: a batched
+# root step makes about 40 numpy calls of microseconds each however few rows
+# they hold, while one row's Newton step in floats costs 1-2 us. Both paths
+# give a row the same bits, so this only picks the faster one.
 _SCALAR_ROWS = 32
 
 
@@ -326,6 +333,16 @@ def _bracketed_root(at, hi, g_lo, g_hi):
     return t, settled
 
 
+def _pinned_g(t, z1, z2, z3, lam):
+    # G, G', w1 and w2 of _pinned_roots at w3 = t, on arrays or floats; at
+    # lam = 0, w1 = z1 and w2 = z2 exactly. det > 0 on the bracket
+    u = lam * t
+    det = (1.0 - u) * (1.0 + u)
+    w1, w2 = (z1 - u * z2) / det, (z2 - u * z1) / det
+    l1, l2 = lam * w1, lam * w2
+    return t - z3 + l1 * w2, 1.0 - (l1 * l1 + l2 * l2 - 2.0 * u * l1 * l2) / det, w1, w2
+
+
 def _pinned_roots(Z, lam, pinned):
     """The 3-sparse case of the pinned rows of the (n, 4) sorted cells Z
     (entries below 2, one lam per row) whose 2-sparse threshold test fails,
@@ -346,26 +363,43 @@ def _pinned_roots(Z, lam, pinned):
     with np.errstate(over="ignore"):  # an overflow only fails the test
         decided = pinned & (lam * z1 < 1.0) & (lam * z1 * z2 < z3)
     z1, z2, z3, lam = z1[decided], z2[decided], z3[decided], lam[decided]
-
-    def at(t):
-        # G, G', w1 and w2 at t; at lam = 0, w1 = z1 and w2 = z2 exactly
-        u = lam * t
-        det = (1.0 - u) * (1.0 + u)
-        w1, w2 = (z1 - u * z2) / det, (z2 - u * z1) / det
-        l1, l2 = lam * w1, lam * w2
-        return t - z3 + l1 * w2, 1.0 - (l1 * l1 + l2 * l2 - 2.0 * u * l1 * l2) / det, w1, w2
-
-    t, settled = _bracketed_root(at, z3, lam * z1 * z2 - z3, at(z3)[0])
-    _, dg, w1, w2 = at(t)
+    t, settled = _bracketed_root(lambda t: _pinned_g(t, z1, z2, z3, lam), z3,
+                                 lam * z1 * z2 - z3, _pinned_g(z3, z1, z2, z3, lam)[0])
+    _, dg, w1, w2 = _pinned_g(t, z1, z2, z3, lam)
     ok = settled & (dg >= 0.0)
     decided[decided] = ok
     return decided, np.stack([w1, w2, t, np.zeros_like(t)], axis=1)[ok]
 
 
-def _dense_g(t, Z, lam):
-    # G, G' and w1..w3 (a (3, n) array) of _dense_roots at w4 = t; at lam = 0
-    # and t = z4, s = sum z and w_i = z_i exactly, so G = 0
-    zsum = ((Z[:, 0] + Z[:, 1]) + Z[:, 2]) + Z[:, 3]
+def _pinned_row(z1, z2, z3, lam):
+    """_pinned_roots on one pinned row in Python floats, bit for bit: the
+    case weights (w1, w2, w3, 0.0), or None where it leaves the row
+    undecided."""
+    if not (lam * z1 < 1.0 and lam * z1 * z2 < z3):
+        return None
+    lo, hi, g_lo = 0.0, z3, lam * z1 * z2 - z3
+    t = hi * (-g_lo / (_pinned_g(z3, z1, z2, z3, lam)[0] - g_lo))
+    for _ in range(_ROOT_MAX_ITER):
+        g, dg, _, _ = _pinned_g(t, z1, z2, z3, lam)
+        if g < 0.0:
+            lo = t
+        else:
+            hi = t
+        t_new = t - g / dg if dg > 0.0 else nan
+        if not (t_new >= lo and t_new <= hi):
+            t_new = 0.5 * (lo + hi)
+        settled = abs(t_new - t) <= _ROOT_TOL
+        t = t_new
+        if settled:
+            _, dg, w1, w2 = _pinned_g(t, z1, z2, z3, lam)
+            return (w1, w2, t, 0.0) if dg >= 0.0 else None
+    return None
+
+
+def _dense_g(t, Z, lam, zsum):
+    # G, G' and w1..w3 (a (3, n) array) of _dense_roots at w4 = t, zsum the
+    # rows' ((z1 + z2) + z3) + z4; at lam = 0 and t = z4, s = zsum and
+    # w_i = z_i exactly, so G = 0
     d = lam * t + 0.5
     s = ((lam * t * t + (t - Z[:, 3])) + 0.5 * zsum) / d
     ls = lam * s
@@ -379,9 +413,8 @@ def _dense_g(t, Z, lam):
 
 def _dense_roots(Z, lam, pinned):
     """The dense case of the unpinned rows of the (n, 4) sorted cells Z
-    (entries below 2, one lam per row) as one scalar root each, on a call
-    of more than _SCALAR_ROWS unpinned rows. Returns (decided, W) as
-    _pinned_roots does.
+    (entries below 2, one lam per row) as one scalar root each. Returns
+    (decided, W) as _pinned_roots does.
 
     The stationarity equations add up to s + 2 lam e2(w) = sum z (s = sum w),
     so equation i is lam w_i^2 + a w_i - q_i = 0, with a = 1 - lam s and
@@ -397,17 +430,16 @@ def _dense_roots(Z, lam, pinned):
     lam w1 + lam^2 e2(w2, w3, w4) < 2 there, and no other row is tried.
     """
     decided = np.zeros(Z.shape[0], dtype=bool)
-    if np.count_nonzero(~pinned) <= _SCALAR_ROWS:
-        return decided, np.zeros((0, 4))
     with np.errstate(all="ignore"):  # an inf or NaN fails a test below
         rows = np.flatnonzero(~pinned & (lam * Z[:, 0] < 2.0))
         Zr, lam_r = Z[rows], lam[rows]
-        g_lo, g_hi = _dense_g(0.0, Zr, lam_r)[0], _dense_g(Zr[:, 3], Zr, lam_r)[0]
+        zsum = ((Zr[:, 0] + Zr[:, 1]) + Zr[:, 2]) + Zr[:, 3]
+        g_lo, g_hi = _dense_g(0.0, Zr, lam_r, zsum)[0], _dense_g(Zr[:, 3], Zr, lam_r, zsum)[0]
         keep = (g_lo < 0.0) & (g_hi >= 0.0)
-        rows, Zr, lam_r = rows[keep], Zr[keep], lam_r[keep]
-        t, settled = _bracketed_root(lambda t: _dense_g(t, Zr, lam_r), Zr[:, 3], g_lo[keep],
-                                     g_hi[keep])
-        W = np.vstack([_dense_g(t, Zr, lam_r)[2], t]).T
+        rows, Zr, lam_r, zsum = rows[keep], Zr[keep], lam_r[keep], zsum[keep]
+        t, settled = _bracketed_root(lambda t: _dense_g(t, Zr, lam_r, zsum), Zr[:, 3],
+                                     g_lo[keep], g_hi[keep])
+        W = np.vstack([_dense_g(t, Zr, lam_r, zsum)[2], t]).T
         scale = np.maximum(1.0, Zr[:, 0])
         ok = (settled & np.all(W > _POS_RTOL * scale[:, None], axis=1)
               & (np.abs(_grad_rows(W, Zr, lam_r[:, None])).max(axis=1) <= DEFAULT_TOL * scale))
@@ -416,17 +448,116 @@ def _dense_roots(Z, lam, pinned):
     return decided, W[ok]
 
 
+def _dense_row(z1, z2, z3, z4, lam):
+    """_dense_roots on one unpinned row in Python floats, bit for bit: the
+    case weights, or None where it leaves the row undecided. Where a square
+    root or a division would take numpy's NaN or inf, G is numpy's."""
+    if not lam * z1 < 2.0:
+        return None
+    zsum = ((z1 + z2) + z3) + z4
+
+    def at(t):
+        d = lam * t + 0.5
+        s = ((lam * t * t + (t - z4)) + 0.5 * zsum) / d
+        ls = lam * s
+        a, ds = 1.0 - ls, 2.0 - ls / d
+        h = 0.5 * (zsum - s)
+        q1, q2, q3 = z1 - h, z2 - h, z3 - h
+        try:
+            r1, r2, r3 = (sqrt(a * a + 4.0 * lam * q1), sqrt(a * a + 4.0 * lam * q2),
+                          sqrt(a * a + 4.0 * lam * q3))
+            w1, w2, w3 = 2.0 * q1 / (a + r1), 2.0 * q2 / (a + r2), 2.0 * q3 / (a + r3)
+            dw1, dw2, dw3 = (ds * (0.5 + lam * w1) / r1, ds * (0.5 + lam * w2) / r2,
+                             ds * (0.5 + lam * w3) / r3)
+        except (ValueError, ZeroDivisionError):  # where numpy's sqrt or division is NaN or inf
+            with np.errstate(all="ignore"):
+                g, dg, w = _dense_g(t, np.array([[z1, z2, z3, z4]]), np.array([lam]),
+                                    np.array([zsum]))
+            return (g[0].item(), dg[0].item(), *w[:, 0].tolist())
+        return (((w1 + w2) + w3) + t) - s, ((dw1 + dw2) + dw3) + (1.0 - ds), w1, w2, w3
+
+    g_lo, g_hi = at(0.0)[0], at(z4)[0]
+    if not (g_lo < 0.0 and g_hi >= 0.0):
+        return None
+    lo, hi = 0.0, z4
+    t = hi * (-g_lo / (g_hi - g_lo))
+    for _ in range(_ROOT_MAX_ITER):
+        g, dg, _, _, _ = at(t)
+        if g < 0.0:
+            lo = t
+        else:
+            hi = t
+        t_new = t - g / dg if dg > 0.0 else nan
+        if not (t_new >= lo and t_new <= hi):
+            t_new = 0.5 * (lo + hi)
+        settled = abs(t_new - t) <= _ROOT_TOL
+        t = t_new
+        if settled:
+            break
+    _, _, w1, w2, w3 = at(t)
+    scale = max(1.0, z1)
+    thr, tol = _POS_RTOL * scale, DEFAULT_TOL * scale
+    if not (settled and w1 > thr and w2 > thr and w3 > thr and t > thr):
+        return None
+    # _grad_rows at (w1, w2, w3, t)
+    s = ((w1 + w2) + w3) + t
+    e2 = 0.5 * (s * s - (((w1 * w1 + w2 * w2) + w3 * w3) + t * t))
+    for w, z in ((w1, z1), (w2, z2), (w3, z3), (t, z4)):
+        if not abs((w - z) + lam * (e2 - w * (s - w))) <= tol:
+            return None
+    w = (w1, w2, w3, t)
+    return w if _psd_row(w, lam, False) else None
+
+
+def _psd_row(w, lam, pinned):
+    """_psd_rows on one row w (4 floats) in Python floats, bit for bit; a
+    pivot that is not positive ends the factorization."""
+    s = ((w[0] + w[1]) + w[2]) + w[3]
+    if (1.0 if pinned else 2.0) * lam * (s - min(w)) <= 1.0:
+        return True
+    H = [[lam * ((s - a) - b) for b in w] for a in w]
+    for j in range(4):
+        H[j][j] = 1.0 + _SECOND_ORDER_TOL
+        if pinned and j < 3:  # the last row and column the identity's
+            H[j][3] = H[3][j] = 0.0
+    for j in range(4):
+        p = H[j][j]
+        if not p > 0.0:
+            return False
+        for a in range(j + 1, 4):
+            for b in range(j + 1, 4):
+                H[a][b] -= H[a][j] * H[j][b] / p
+    return True
+
+
+def _polish_stalled(w, z, lam, pinned):
+    """A Newton polish of a GD row w that stalled at DEFAULT_MAX_ITER on the
+    sorted cell z, and where the polish fails, the interior-point solver's
+    verdict. Returns (w, converged), w a numpy 4-vector."""
+    w, conv = _newton_polish(w, z, lam, pinned, DEFAULT_TOL * max(1.0, z[0]))
+    if conv:
+        return w, True
+    # the polish fails once a full Newton step stops lowering the residual,
+    # which proves nothing about the case either way, so the IPM decides
+    w_ipm = solve_case_ipm(z, lam, "three_sparse" if pinned else "dense")
+    return (w, False) if w_ipm is None else (w_ipm, True)
+
+
 def _solve_case_rows(Z, lam, pinned):
     """Solve a prox case on every row of an (n, 4) array of sorted cells, at
     one lam per row: the 3-sparse case where the row's pin is set, the
-    dense case elsewhere. The roots decide the rows they can and _gd_rows
-    takes the rest; a stalled row takes a Newton polish, and where the
-    polish fails, the interior-point solver's verdict. A row is valid when
-    its case's free coordinates end up strictly positive, a GD point only
-    in its case's PSD region; an invalid row's weights are zeroed. Returns
-    (W, valid, aborted, iters), with 0 iterations on a row a root decided.
+    dense case elsewhere. The roots decide the rows they can and projected
+    GD takes the rest; a stalled GD row takes _polish_stalled. A row is
+    valid when its case's free coordinates end up strictly positive, a GD
+    point only in its case's PSD region; an invalid row's weights are
+    zeroed. A call of at most 2 _SCALAR_ROWS rows goes row by row in Python
+    floats (_case_rows_in_floats), a larger one through the batched roots
+    and _gd_rows; a row gets the same bits either way. Returns (W, valid,
+    aborted, iters), with 0 iterations on a row a root decided.
     """
     n = Z.shape[0]
+    if n <= 2 * _SCALAR_ROWS:
+        return _case_rows_in_floats(Z, lam, pinned)
     W, decided = np.zeros((n, 4)), np.zeros(n, dtype=bool)
     for roots in (_pinned_roots, _dense_roots):
         got, W_root = roots(Z, lam, pinned)
@@ -435,26 +566,42 @@ def _solve_case_rows(Z, lam, pinned):
     rest = ~decided
     outcome, iters = np.zeros(n, dtype=np.int8), np.zeros(n, dtype=np.int64)
     W[rest], outcome[rest], iters[rest] = _gd_rows(Z[rest], lam[rest], pinned[rest])
-    conv, aborted = outcome == 0, outcome == 1
+    conv = outcome == 0
     for idx in np.flatnonzero(outcome == 2):
-        pin, lam_i = pinned[idx], lam[idx]
-        tol_eff = DEFAULT_TOL * max(1.0, Z[idx, 0])
-        W[idx], conv[idx] = _newton_polish(W[idx], Z[idx], lam_i, pin, tol_eff)
-        if conv[idx]:
-            continue
-        # the polish fails once a full Newton step stops lowering the
-        # residual, which proves nothing about the case either way, so the
-        # IPM decides this row
-        w = solve_case_ipm(Z[idx], lam_i, "three_sparse" if pin else "dense")
-        conv[idx] = w is not None
-        if w is not None:
-            W[idx] = w
+        W[idx], conv[idx] = _polish_stalled(W[idx], Z[idx], lam[idx], pinned[idx])
     thr = _POS_RTOL * np.maximum(1.0, Z[:, 0])
     valid = conv & np.all(W[:, :3] > thr[:, None], axis=1) & (pinned | (W[:, 3] > thr))
     check = valid & rest
     valid[check] = _psd_rows(W[check], lam[check], pinned[check])
     W[~valid] = 0.0  # lam times an invalid iterate's penalty can overflow
-    return W, valid, aborted, iters
+    return W, valid, outcome == 1, iters
+
+
+def _case_rows_in_floats(Z, lam, pinned):
+    """_solve_case_rows on each row in turn, in Python floats where the
+    batched path uses numpy: the row's root (_pinned_row or _dense_row),
+    else _gd_row, then the positivity test and, on a GD point, _psd_row."""
+    W, valid, aborted, iters = [], [], [], []
+    for z, lam_i, pin in zip(Z.tolist(), lam.tolist(), pinned.tolist()):
+        z1, z2, z3, z4 = z
+        w = _pinned_row(z1, z2, z3, lam_i) if pin else _dense_row(z1, z2, z3, z4, lam_i)
+        outcome = k = 0
+        if w is None:
+            w, outcome, k = _gd_row(z, lam_i, pin)
+        ok = outcome == 0
+        if outcome == 2:
+            w, ok = _polish_stalled(w, z, lam_i, pin)
+            w = w.tolist()
+        thr = _POS_RTOL * max(1.0, z1)
+        ok = ok and w[0] > thr and w[1] > thr and w[2] > thr and (pin or w[3] > thr)
+        if ok and k:
+            ok = _psd_row(w, lam_i, pin)
+        W.append(w if ok else (0.0, 0.0, 0.0, 0.0))
+        valid.append(ok)
+        aborted.append(outcome == 1)
+        iters.append(k)
+    return (np.array(W, dtype=np.float64).reshape(-1, 4), np.array(valid, dtype=bool),
+            np.array(aborted, dtype=bool), np.array(iters, dtype=np.int64))
 
 
 def _e2_others(W):
@@ -719,11 +866,10 @@ def prox_enumerate(z, lam) -> ProxResult:
     """Solve the sorted nonnegative cell prox by enumerating the three cases.
 
     Evaluates the closed-form 2-sparse candidate [z1, z2, 0, 0] and the
-    3-sparse and dense candidates from prox_cells' case solve (on one cell
-    the dense case takes projected GD), then returns the one with the
-    smallest objective (ties go
-    to the sparser case). Raises ValueError unless z is sorted, nonnegative
-    and finite and lam is finite and nonnegative.
+    3-sparse and dense candidates from prox_cells' case solve, then returns
+    the one with the smallest objective (ties go to the sparser case).
+    Raises ValueError unless z is sorted, nonnegative and finite and lam is
+    finite and nonnegative.
     """
     Z = _check_sorted(z)[None, :]
     _check_lam(lam)

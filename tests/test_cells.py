@@ -198,12 +198,19 @@ def _no_roots(Z, lam, pinned):
     return np.zeros(len(Z), dtype=bool), np.zeros((0, 4))
 
 
+def _no_row_root(*args):
+    return None
+
+
 @pytest.fixture
 def kernel_only(monkeypatch):
-    # _solve_case_rows with neither root deciding a row, so that every case
-    # row, pinned or not, takes projected GD, its polish and the IPM
+    # _solve_case_rows with neither root deciding a row, batched or row by
+    # row, so that every case row, pinned or not, takes projected GD, its
+    # polish and the IPM
     monkeypatch.setattr(cells, "_pinned_roots", _no_roots)
     monkeypatch.setattr(cells, "_dense_roots", _no_roots)
+    monkeypatch.setattr(cells, "_pinned_row", _no_row_root)
+    monkeypatch.setattr(cells, "_dense_row", _no_row_root)
 
 
 def _fail_first_polish(monkeypatch, pinned):
@@ -633,15 +640,28 @@ def test_cell_objective_is_nonnegative_and_signed_permutation_invariant():
 
 
 def _record_gd_rows(monkeypatch):
-    # every call of the GD row loop, as (rows, penalties, pins)
-    gd_rows, batches = cells._gd_rows, []
+    # per _solve_case_rows call, the list of rows it hands to _gd_row,
+    # batched or row by row, each as (row, penalty, pin)
+    solve, gd_row, calls = cells._solve_case_rows, cells._gd_row, []
 
-    def recording(Z, lam, pinned):
-        batches.append((Z.copy(), np.array(lam), np.array(pinned)))
-        return gd_rows(Z, lam, pinned)
+    def solving(Z, lam, pinned):
+        calls.append([])
+        return solve(Z, lam, pinned)
 
-    monkeypatch.setattr(cells, "_gd_rows", recording)
-    return batches
+    def recording(z, lam, pinned):
+        calls[-1].append((z, lam, pinned))
+        return gd_row(z, lam, pinned)
+
+    monkeypatch.setattr(cells, "_solve_case_rows", solving)
+    monkeypatch.setattr(cells, "_gd_row", recording)
+    return calls
+
+
+def _gd_batch(rows):
+    # the (rows, penalties, pins) that _record_gd_rows recorded, as arrays
+    z, lam, pinned = zip(*rows) if rows else ((), (), ())
+    return (np.array(z, dtype=np.float64).reshape(-1, 4), np.array(lam, dtype=np.float64),
+            np.array(pinned, dtype=bool))
 
 
 def _rows_neither_root_decides(cells_mat, lam):
@@ -661,21 +681,23 @@ def _rows_neither_root_decides(cells_mat, lam):
 def test_one_kernel_pass_per_prox(monkeypatch):
     # both convex cases of every cell are solved in one pass, and GD gets
     # exactly the stacked normalized case rows, penalties and pins that the
-    # screen keeps and neither root decides; a call whose rows are all
-    # screened still makes its one, empty, pass. The screen keeps 17 dense
-    # rows of the 50 cells, all of which GD gets, and 67 of the 200, where
-    # the dense root runs
-    batches = _record_gd_rows(monkeypatch)
+    # screen keeps and neither root decides, in order; a call whose rows
+    # are all screened still makes its one, empty, pass. The screen keeps
+    # 17 dense rows of the 50 cells, of which the dense root decides 5, and
+    # 67 of the 200; the 50 cells' kept rows are solved row by row in
+    # Python floats, the 200's batched
+    calls = _record_gd_rows(monkeypatch)
     for call, arg, lam, shape in [
-        (prox_cells, np.random.default_rng(26).normal(size=(50, 4)), 0.3, (18, 1)),
+        (prox_cells, np.random.default_rng(26).normal(size=(50, 4)), 0.3, (13, 1)),
         (prox_cells, np.random.default_rng(26).normal(size=(200, 4)), 0.3, (43, 6)),
         (prox_cells, [[10.0, -10.0, 0.1, 0.05]], 0.1, (0, 0)),
         (prox_enumerate, [1.6, 1.1, 0.8, 0.5], 0.3, (1, 0)),
     ]:
-        batches.clear()
+        calls.clear()
         call(arg, lam)
         Z, lam_rows, pinned, gd = _rows_neither_root_decides(arg, lam)
-        [(Z_gd, lam_gd, pinned_gd)] = batches
+        [rows] = calls
+        Z_gd, lam_gd, pinned_gd = _gd_batch(rows)
         assert Z_gd.tobytes() == Z[gd].tobytes()
         assert lam_gd.tobytes() == lam_rows[gd].tobytes()
         assert np.array_equal(pinned_gd, pinned[gd])
@@ -726,15 +748,48 @@ def test_prox_cells_equals_the_unscreened_prox_bit_for_bit():
         assert prox_cells(C, lam).tobytes() == prox_cells_unscreened(C, lam).tobytes(), lam
 
 
+def test_prox_cells_does_not_depend_on_the_batch(monkeypatch):
+    # a cell's prox has the same bits whether it runs in the whole call
+    # (the batched path), alone or in chunks of 7 (row by row in Python
+    # floats), at every lam, on cells with exact zeros and ties, and where a
+    # cap of 3 GD iterations stalls rows into the polish and the IPM
+    rng = np.random.default_rng(39)
+    C = rng.normal(size=(300, 4)) * np.exp(rng.uniform(-2.0, 2.0, size=(300, 1)))
+    C[rng.random(C.shape) < 0.05] = 0.0
+    C[:10, 1] = -C[:10, 0]
+    for max_iter, lams, C in ((cells.DEFAULT_MAX_ITER, (0.0, 0.01, 0.1, 0.3, 1.0, 3.0), C),
+                              (3, (0.1, 1.0), C[:70])):
+        monkeypatch.setattr(cells, "DEFAULT_MAX_ITER", max_iter)
+        for lam in lams:
+            whole = prox_cells(C, lam).tobytes()
+            for size in (1, 7):
+                parts = [prox_cells(C[i:i + size], lam) for i in range(0, len(C), size)]
+                assert np.vstack(parts).tobytes() == whole, (max_iter, lam, size)
+
+
+def test_prox_cells_equals_the_unscreened_prox_where_the_screen_shrinks_the_call():
+    # 40 cells U[0.5, 1], the last 10 with z4 = 0, at lam = 0.05: the
+    # unscreened case solve gets all 80 case rows and the screened one
+    # fewer, each row's bits the same either way
+    rng = np.random.default_rng(40)
+    for _ in range(50):
+        C = rng.uniform(0.5, 1.0, size=(40, 4))
+        C[30:, 3] = 0.0
+        assert prox_cells(C, 0.05).tobytes() == prox_cells_unscreened(C, 0.05).tobytes()
+
+
 def test_psd_rows_matches_the_spectrum():
     # Gershgorin's shortcut and the elementwise LDL^T give the eigenvalue
-    # test's verdict on both cases, away from its boundary, and fail a NaN
+    # test's verdict on both cases, away from its boundary, and fail a NaN;
+    # _psd_row, in Python floats, gives _psd_rows' verdict on every row
     rng = np.random.default_rng(38)
     n = 20000
     W = rng.uniform(size=(n, 4)) * 10.0 ** rng.uniform(-1.0, 0.5, size=(n, 1))
     lam, pinned = 10.0 ** rng.uniform(-2.0, 1.0, size=n), rng.random(n) < 0.5
     W[pinned, 3] = 0.0
     got = cells._psd_rows(W, lam, pinned)
+    assert [cells._psd_row(w, lam_i, pin) for w, lam_i, pin in
+            zip(W.tolist(), lam.tolist(), pinned.tolist())] == got.tolist()
     eig = np.array([np.linalg.eigvalsh(cells._case_hessian(w, lam_i, pin))[0]
                     for w, lam_i, pin in zip(W, lam, pinned)])
     clear = np.abs(eig + cells._SECOND_ORDER_TOL) > 1e-12
@@ -744,6 +799,7 @@ def test_psd_rows_matches_the_spectrum():
         assert np.any(got & ~gersh & (pinned == pin)) and np.any(~got & (pinned == pin))
     W[0, 1] = np.nan
     assert not cells._psd_rows(W[:1], lam[:1], pinned[:1])[0]
+    assert not cells._psd_row(W[0].tolist(), lam[0].item(), pinned[0].item())
 
 
 def test_dense_stationary_point_outside_the_convex_region_is_invalid():
@@ -855,9 +911,10 @@ def test_dense_root_decides_only_rows_gd_calls_valid():
 def test_root_path_agrees_with_the_ipm():
     # below the 2-sparse threshold the 3-sparse case is the root's; its
     # verdict and weights, and the whole prox, match the interior point's.
-    # Dense rows take the dense root in a call of more than _SCALAR_ROWS of
-    # them; where it decides, the IPM finds the same weights, and the prox
-    # of the call matches the interior point's cell by cell
+    # In a call of 60 dense rows, solved row by row, the rows the batched
+    # dense root decides are the ones the row path decides; there the IPM
+    # finds the same weights, and the prox of the call matches the interior
+    # point's cell by cell
     rng = np.random.default_rng(34)
     rooted = 0
     for _ in range(60):
@@ -908,6 +965,56 @@ def test_accepted_roots_are_stationary_in_the_psd_region():
         assert np.linalg.eigvalsh(_case_hessians(W, lam_d, pinned))[:, 0].min() >= -1e-9
 
 
+def test_row_roots_match_the_batched_roots_bit_for_bit():
+    # on 60,000 sorted cells of entries below 2, with exact zeros, at lam
+    # log-uniform on [1e-3, 30] and lam = 0, _pinned_row and _dense_row
+    # decide exactly the rows that _pinned_roots and _dense_roots decide,
+    # with the same weights, bit for bit
+    rng = np.random.default_rng(41)
+    n = 60000
+    Z = rng.uniform(0.0, 2.0, size=(n, 4))
+    Z[rng.random(Z.shape) < 0.05] = 0.0
+    Z = np.ascontiguousarray(np.sort(Z, axis=1)[:, ::-1])
+    lam = np.exp(rng.uniform(np.log(1e-3), np.log(30.0), size=n))
+    lam[rng.random(n) < 0.02] = 0.0
+    for pinned, row_root in ((True, cells._pinned_row), (False, cells._dense_row)):
+        decided, W = _roots_of(pinned)(Z, lam, np.full(n, pinned))
+        rows = [row_root(*z[:4 - pinned], lam_i) for z, lam_i in zip(Z.tolist(), lam.tolist())]
+        assert [w is not None for w in rows] == decided.tolist()
+        assert np.array([w for w in rows if w is not None]).tobytes() == W.tobytes()
+        assert decided.sum() > n // 3  # 34,153 and 21,644 of the 60,000
+        assert decided[lam == 0.0].any()
+
+
+def test_small_calls_match_the_batched_path_bit_for_bit(monkeypatch):
+    # 300 calls of 1 to 2 _SCALAR_ROWS case rows, solved row by row in
+    # Python floats, give each row the weights, verdict, abort and
+    # iteration count the batched path gives it in the same rows padded
+    # past 2 _SCALAR_ROWS; so do 20 calls of up to 12 rows where a cap of 3
+    # GD iterations stalls rows into the polish and the IPM, padded with
+    # zero rows, which converge in one step
+    rng = np.random.default_rng(42)
+    n, pad = 4000, 2 * cells._SCALAR_ROWS
+    Z = np.sort(np.abs(rng.normal(size=(n, 4))), axis=1)[:, ::-1]
+    Z, lam, _ = normalized_rows(Z * np.exp(rng.uniform(-1.0, 1.0, size=(n, 1))),
+                                np.exp(rng.uniform(np.log(1e-2), np.log(3.0), size=n)))
+    Z, lam = np.vstack([Z, np.zeros((1, 4))]), np.append(lam, 0.3)
+    stalled = 0
+    for call in range(320):
+        if call == 300:
+            monkeypatch.setattr(cells, "DEFAULT_MAX_ITER", 3)
+        m = int(rng.integers(1, pad + 1 if call < 300 else 13))
+        rows = rng.integers(0, n, size=m + pad)
+        if call >= 300:
+            rows[m:] = n  # the zero row
+        pinned = rng.random(len(rows)) < 0.5
+        small = cells._solve_case_rows(Z[rows[:m]], lam[rows[:m]], pinned[:m])
+        padded = cells._solve_case_rows(Z[rows], lam[rows], pinned)
+        assert [a.tobytes() for a in small] == [a[:m].tobytes() for a in padded], call
+        stalled += np.count_nonzero(small[3] == 3)
+    assert stalled > 50
+
+
 @pytest.mark.parametrize("z, lam, decided, pinned", [
     pytest.param([1.0, 1.0, 1.0, 0.5], 0.1, True, True, id="three-way-tie"),
     pytest.param([1.0, 1.0, 0.999, 0.3], 0.998, True, True, id="tie-near-u-1"),
@@ -923,60 +1030,70 @@ def test_accepted_roots_are_stationary_in_the_psd_region():
     pytest.param([1.6, 1.1, 0.8, 0.5], sys.float_info.max, False, False, id="dense-lam-max"),
 ])
 def test_root_edge_cases_raise_no_warning(z, lam, decided, pinned):
-    # ties, z3 = 0 or z4 = 0, lam = 0 and the largest float lam: the 3-sparse
-    # root decides exactly the rows below the 2-sparse threshold, and the
-    # dense root a call of the row repeated past _SCALAR_ROWS where its case
-    # is valid, with no 0 / 0 at a tie, no overflow and no warning; lam = 0
-    # returns z exactly, and the prox is the oracle's
+    # ties, z3 = 0 or z4 = 0, lam = 0 and the largest float lam, each in a
+    # 1-row call, solved row by row in Python floats, and in a batched call
+    # of more than 2 _SCALAR_ROWS rows: the 3-sparse root decides exactly
+    # the rows below the 2-sparse threshold, and the dense root the rows
+    # where its case is valid, on both paths, bit for bit, with no 0 / 0 at
+    # a tie, no overflow, no exception and no warning; lam = 0 returns z
+    # exactly, and the prox is the oracle's
     z = np.array(z)
-    m = 1 if pinned else cells._SCALAR_ROWS + 1
-    Zn, lam_n, s = normalized_rows(np.repeat(z[None, :], m, axis=0), lam)
-    pin = np.full(m, pinned)
-    with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise", divide="raise"):
-        warnings.simplefilter("error")
-        got, W = _roots_of(pinned)(Zn, lam_n, pin)
-        W_case, valid, _, iters = cells._solve_case_rows(Zn, lam_n, pin)
-        out = prox_cells(np.repeat(z[None, :], m, axis=0), lam)
-    assert np.all(got == decided) and np.all((iters == 0) == decided)
-    if lam == 0.0:
-        assert np.array_equal(W_case[0] * s[0], z if not pinned else [1.6, 1.1, 0.8, 0.0])
-    if decided and z[0] == z[1]:
-        w1, w2, w3, w4 = W[0] * s[0]
-        assert w1 == w2
-        if pinned:
-            # a tie gives w1 = w2 = z1 / (1 + lam w3), and w3 = z3 - lam w1**2
-            assert abs(w1 * (1.0 + lam * w3) - z[0]) <= 1e-12
-            assert abs(w3 + lam * w1 * w1 - z[2]) <= 1e-12
+    row_root = cells._pinned_row if pinned else cells._dense_row
+    for m in (1, 2 * cells._SCALAR_ROWS + 1):
+        Zn, lam_n, s = normalized_rows(np.repeat(z[None, :], m, axis=0), lam)
+        pin = np.full(m, pinned)
+        with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise",
+                                                    divide="raise"):
+            warnings.simplefilter("error")
+            got, W = _roots_of(pinned)(Zn, lam_n, pin)
+            w_row = row_root(*Zn[0, :4 - pinned].tolist(), lam_n[0].item())
+            W_case, valid, _, iters = cells._solve_case_rows(Zn, lam_n, pin)
+            out = prox_cells(np.repeat(z[None, :], m, axis=0), lam)
+        assert np.all(got == decided) and np.all((iters == 0) == decided)
+        assert (w_row is not None) == decided
+        if decided:
+            assert np.array(w_row).tobytes() == W[0].tobytes()
+        if lam == 0.0:
+            assert np.array_equal(W_case[0] * s[0], z if not pinned else [1.6, 1.1, 0.8, 0.0])
+        if decided and z[0] == z[1]:
+            w1, w2, w3, w4 = W[0] * s[0]
+            assert w1 == w2
+            if pinned:
+                # a tie gives w1 = w2 = z1 / (1 + lam w3), and w3 = z3 - lam w1**2
+                assert abs(w1 * (1.0 + lam * w3) - z[0]) <= 1e-12
+                assert abs(w3 + lam * w1 * w1 - z[2]) <= 1e-12
+            else:
+                # a four-way tie gives w + 3 lam w**2 = z1 in every coordinate
+                assert w3 == w1
+                for w in (w1, w4):
+                    assert abs(w + 3.0 * lam * w * w - z[0]) <= 1e-12
+        if lam < 1e300:
+            _, fo = brute_force_prox_oracle(z, lam)
+            assert cell_objective(out[0], z, lam) <= fo + 1e-9
         else:
-            # a four-way tie gives w + 3 lam w**2 = z1 in every coordinate
-            assert w3 == w1
-            for w in (w1, w4):
-                assert abs(w + 3.0 * lam * w * w - z[0]) <= 1e-12
-    if lam < 1e300:
-        _, fo = brute_force_prox_oracle(z, lam)
-        assert cell_objective(out[0], z, lam) <= fo + 1e-9
-    else:
-        assert np.array_equal(out[0], clamp_top2(z[None, :])[0])
+            assert np.array_equal(out[0], clamp_top2(z[None, :])[0])
 
 
 def test_the_kernel_gets_only_the_rows_the_root_leaves(monkeypatch):
     # one GD pass per prox, on the rows the screen keeps less the ones the
-    # roots decide, in calls of more than _SCALAR_ROWS dense rows, where the
-    # dense root runs; no pinned row below the 2-sparse threshold is left
-    batches = _record_gd_rows(monkeypatch)
+    # roots decide, in calls of more than 2 _SCALAR_ROWS kept rows, which
+    # take the batched roots; no pinned row below the 2-sparse threshold is
+    # left
+    calls = _record_gd_rows(monkeypatch)
     cells_mat = np.random.default_rng(36).normal(size=(400, 4))
     for lam in (0.01, 0.3, 3.0):
-        batches.clear()
+        calls.clear()
         prox_cells(cells_mat, lam)
         Z, lam_rows, pinned, gd = _rows_neither_root_decides(cells_mat, lam)
-        [(Z_gd, lam_gd, pinned_gd)] = batches
+        [rows] = calls
+        Z_gd, lam_gd, pinned_gd = _gd_batch(rows)
         assert Z_gd.tobytes() == Z[gd].tobytes()
         assert lam_gd.tobytes() == lam_rows[gd].tobytes()
         assert np.array_equal(pinned_gd, pinned[gd])
         P, lam_p = Z_gd[pinned_gd], lam_gd[pinned_gd]
         assert np.all(lam_p * P[:, 0] * P[:, 1] >= P[:, 2])
-        dense_kept = np.count_nonzero(~pinned & ~cells._screened(Z, lam_rows, pinned))
-        assert dense_kept > cells._SCALAR_ROWS
+        kept = np.count_nonzero(~cells._screened(Z, lam_rows, pinned))
+        assert kept > 2 * cells._SCALAR_ROWS
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.01, 0.1, 0.3, 1.0, 3.0, sys.float_info.max])
